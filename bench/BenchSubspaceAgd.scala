@@ -1,6 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.bo.SubspacePolicy
 import repro.core.{Objective, OnlineTuner, TunerSettings}
 import repro.env.{FleetGen, SparkClusterSim, Workloads}
 import repro.space.{SparkParams => SP}
@@ -41,7 +42,7 @@ class BenchSubspaceAgd extends AnyFunSuite {
 
   test("sub-space ablation on PageRank and TeraSort (prints Figure-7 table)") {
     val rows = Seq("pagerank", "terasort").map { t =>
-      val full = costs(t, _.copy(useSubspace = false))
+      val full = costs(t, _.copy(subspace = SubspacePolicy.Full))
       val small = costs(t, _.copy(kInit = 6, kMin = 6, tauSucc = Int.MaxValue,
         tauFail = Int.MaxValue)) // frozen 6-dim space
       val adaptive = costs(t, identity)
@@ -60,7 +61,7 @@ class BenchSubspaceAgd extends AnyFunSuite {
 
   test("sub-space keeps the average cost below full-space search (Fig. 7b)") {
     val tasks = Seq("pagerank", "terasort")
-    val full = tasks.map(t => costs(t, _.copy(useSubspace = false))._2).sum
+    val full = tasks.map(t => costs(t, _.copy(subspace = SubspacePolicy.Full))._2).sum
     val adaptive = tasks.map(t => costs(t, identity)._2).sum
     assert(adaptive <= full * 1.05, f"adaptive avg $adaptive%.1f vs full avg $full%.1f")
   }

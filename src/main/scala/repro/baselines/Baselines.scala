@@ -1,12 +1,11 @@
 package repro.baselines
 
 import scala.util.Random
-import repro.core.{Objective, Observation, OnlineTuner, RunHistory, TunerSettings}
+import repro.bo.SubspacePolicy
+import repro.core.{CandidateMix, Objective, Observation, OnlineTuner, RunHistory, TunerSettings}
 import repro.env.SparkClusterSim
-import repro.importance.FAnova
 import repro.model.{Gbdt, RandomForest}
 import repro.space.{Config, ConfigSpace}
-import repro.surrogate.{Gp, MixedKernel}
 
 /** A black-box tuning strategy evaluated online against the simulator.
   * All baselines consume exactly the same per-iteration interface as the
@@ -82,135 +81,6 @@ final class RandomSearch extends BaselineTuner {
   }
 }
 
-/** CherryPick [2]: vanilla constrained BO (EIC) over the full space —
-  * no space reduction, no safe region, no datasize awareness, no AGD,
-  * and a plain random-candidate acquisition optimizer ("CherryPick does
-  * not reduce the dimension of search space when training the surrogate
-  * model, thus it cannot handle the large Spark search space well", §6.3).
-  */
-final class CherryPick extends BaselineTuner {
-  val name = "CherryPick"
-  def tune(sim: SparkClusterSim, objective: Objective, budget: Int, seed: Long,
-           init: Vector[Config]): RunHistory = {
-    val cs = sim.cs
-    val rng = new Random(seed)
-    val h = new RunHistory
-    val inits = init ++ cs.sampleLowDiscrepancy(3, seed + 2)
-    var it = 0
-    while (it < budget) {
-      val c =
-        if (it < inits.size.min(init.size + 3)) inits(it)
-        else {
-          val gp = Gp.fit(BaselineUtil.xs(cs, h), BaselineUtil.logYs(h),
-            ls => MixedKernel.forSpace(cs, withDataSize = false, numLs = 0.5 * ls, catLs = ls),
-            noise = 1e-3)
-          val gpRt = Gp.fit(BaselineUtil.xs(cs, h),
-            h.all.map(o => math.log(o.result.runtimeSec.max(1e-9))).toArray,
-            ls => MixedKernel.forSpace(cs, withDataSize = false, numLs = 0.5 * ls, catLs = ls),
-            noise = 1e-3)
-          val yBest = math.log(h.bestObjective.max(1e-9))
-          cs.sampleRandom(rng, 400).maxBy { cc =>
-            val x = cs.toUnit(cc)
-            val pr = if (objective.tMax.isPosInfinity) 1.0
-                     else repro.bo.Acquisition.prFeasible(gpRt.predict(x), math.log(objective.tMax))
-            pr * repro.bo.Acquisition.ei(gp.predict(x), yBest)
-          }
-        }
-      BaselineUtil.observe(sim, objective, h, c, it)
-      it += 1
-    }
-    h
-  }
-}
-
-/** Tuneful [24]: online BO that prunes the space to the most influential
-  * parameters after an exploration phase ("require 10 to 20 executions
-  * before shrinking the search space", §6.3). Exploration runs full-space
-  * BO; afterwards a *fixed* top-8 subspace (importance from its own
-  * history) is searched. */
-final class Tuneful(explore: Int = 10, subspaceSize: Int = 8) extends BaselineTuner {
-  val name = "Tuneful"
-  def tune(sim: SparkClusterSim, objective: Objective, budget: Int, seed: Long,
-           init: Vector[Config]): RunHistory = {
-    val cs = sim.cs
-    val rng = new Random(seed)
-    val h = new RunHistory
-    var free: Set[Int] = (0 until cs.dim).toSet
-    val inits = init ++ cs.sampleLowDiscrepancy(3, seed)
-    var it = 0
-    while (it < budget) {
-      val c =
-        if (it < inits.size.min(init.size + 3)) inits(it)
-        else {
-          if (it == explore) {
-            val imp = FAnova.importance(cs, h.all.map(_.config), BaselineUtil.logYs(h).toSeq,
-              nMc = 100, nGrid = 6, seed = seed)
-            free = imp.ranking.take(subspaceSize).toSet
-          }
-          suggestBo(cs, h, free, rng, objective)
-        }
-      BaselineUtil.observe(sim, objective, h, c, it)
-      it += 1
-    }
-    h
-  }
-
-  private def suggestBo(cs: ConfigSpace, h: RunHistory, free: Set[Int],
-                        rng: Random, objective: Objective): Config = {
-    val gp = Gp.fit(BaselineUtil.xs(cs, h), BaselineUtil.logYs(h),
-      ls => MixedKernel.forSpace(cs, withDataSize = false, numLs = 0.5 * ls, catLs = ls),
-      noise = 1e-3)
-    val yBest = math.log(h.bestObjective.max(1e-9))
-    val anchor = h.best.map(_.config).getOrElse(cs.sampleRandom(rng))
-    val cands = Vector.fill(300)(cs.sampleInSubspace(anchor, free, rng)) ++
-      Vector.fill(60)(cs.sampleRandom(rng))
-    cands.maxBy(c => repro.bo.Acquisition.ei(gp.predict(cs.toUnit(c)), yBest))
-  }
-}
-
-/** LOCAT [76]: datasize-aware online BO for Spark SQL with importance-based
-  * space pruning (fixed subspace once identified). Differs from Tuneful by
-  * feeding the data size into the GP; differs from ours by lacking the
-  * safe region, adaptive subspace sizing, AGD, and meta-learning. */
-final class Locat(explore: Int = 10, subspaceSize: Int = 8) extends BaselineTuner {
-  val name = "LOCAT"
-  def tune(sim: SparkClusterSim, objective: Objective, budget: Int, seed: Long,
-           init: Vector[Config]): RunHistory = {
-    val cs = sim.cs
-    val rng = new Random(seed)
-    val h = new RunHistory
-    var free: Set[Int] = (0 until cs.dim).toSet
-    def enc(c: Config, ds: Double): Array[Double] =
-      cs.toUnit(c) :+ (ds / (2.0 * sim.spec.inputGB)).min(1.0).max(0.0)
-    val inits = init ++ cs.sampleLowDiscrepancy(3, seed + 1)
-    var it = 0
-    while (it < budget) {
-      val nextDs = sim.spec.dataSizeAt(it)
-      val c =
-        if (it < inits.size.min(init.size + 3)) inits(it)
-        else {
-          if (it == explore) {
-            val imp = FAnova.importance(cs, h.all.map(_.config), BaselineUtil.logYs(h).toSeq,
-              nMc = 100, nGrid = 6, seed = seed)
-            free = imp.ranking.take(subspaceSize).toSet
-          }
-          val xs = h.all.map(o => enc(o.config, o.result.dataSizeGB)).toArray
-          val gp = Gp.fit(xs, BaselineUtil.logYs(h),
-            ls => MixedKernel.forSpace(cs, withDataSize = true, numLs = 0.5 * ls, catLs = ls),
-            noise = 1e-3)
-          val yBest = math.log(h.bestObjective.max(1e-9))
-          val anchor = h.best.map(_.config).getOrElse(cs.sampleRandom(rng))
-          val cands = Vector.fill(300)(cs.sampleInSubspace(anchor, free, rng)) ++
-            Vector.fill(60)(cs.sampleRandom(rng))
-          cands.maxBy(cc => repro.bo.Acquisition.ei(gp.predict(enc(cc, nextDs)), yBest))
-        }
-      BaselineUtil.observe(sim, objective, h, c, it)
-      it += 1
-    }
-    h
-  }
-}
-
 /** RFHOC [7]: random-forest performance models + genetic-algorithm search.
   * Designed for offline sample collection; here it receives the same
   * online budget (each GA proposal costs one production run), which is the
@@ -273,19 +143,58 @@ final class Dac extends BaselineTuner {
   }
 }
 
+/** A BO method of §6.3 as an [[OnlineTuner]] preset. Its initial design
+  * is `init` followed by three low-discrepancy configs (Halton seed
+  * `seed + ldsOffset`); every later trial is a preset BO proposal. */
+private final class BoPreset(val name: String, preset: TunerSettings, ldsOffset: Long)
+    extends BaselineTuner {
+  def tune(sim: SparkClusterSim, objective: Objective, budget: Int, seed: Long,
+           init: Vector[Config]): RunHistory = {
+    val warm = init ++ sim.cs.sampleLowDiscrepancy(3, seed + ldsOffset)
+    new OnlineTuner(sim, objective, preset.copy(seed = seed, nInit = 0), warm)
+      .tune(budget).history
+  }
+}
+
 /** The paper's framework wrapped in the same baseline interface
   * (meta-learning off — §6.3 end-to-end comparisons don't use it). */
-final class Ours(stopEi: Double = 0.0) extends BaselineTuner {
+final class Ours extends BaselineTuner {
   val name = "Ours"
   def tune(sim: SparkClusterSim, objective: Objective, budget: Int, seed: Long,
            init: Vector[Config]): RunHistory =
-    new OnlineTuner(sim, objective, TunerSettings(seed = seed, stopEi = stopEi), init)
-      .tune(budget).history
+    new OnlineTuner(sim, objective, TunerSettings(seed = seed), init).tune(budget).history
 }
 
 object Baselines {
+  /** CherryPick [2]: vanilla constrained BO (EIC) over the full space —
+    * no space reduction, no safe region, no datasize awareness, no AGD,
+    * and plain random candidates ("CherryPick does not reduce the
+    * dimension of search space when training the surrogate model, thus it
+    * cannot handle the large Spark search space well", §6.3). */
+  val cherryPick: BaselineTuner = new BoPreset("CherryPick", TunerSettings(
+    candidates = CandidateMix(inSubspace = 0, local = 0, global = 400, anchors = 1),
+    useSafety = false, subspace = SubspacePolicy.Full, useAgd = false,
+    useDataSize = false), ldsOffset = 2)
+
+  private val tunefulSettings = TunerSettings(
+    candidates = CandidateMix(inSubspace = 300, local = 0, global = 60, anchors = 1),
+    useSafety = false, useEic = false, subspace = SubspacePolicy.PrunedAfter(10, 8),
+    useAgd = false, useDataSize = false)
+
+  /** Tuneful [24]: online BO that prunes the space to the most influential
+    * parameters after an exploration phase ("require 10 to 20 executions
+    * before shrinking the search space", §6.3): full-space EI until 10
+    * runs, then a *fixed* top-8 sub-space by fANOVA on its own history. */
+  val tuneful: BaselineTuner = new BoPreset("Tuneful", tunefulSettings, ldsOffset = 0)
+
+  /** LOCAT [76]: datasize-aware online BO for Spark SQL with importance-based
+    * space pruning — Tuneful plus the data size as a GP input. Differs from
+    * ours by lacking the safe region, adaptive sub-space sizing, AGD and
+    * meta-learning. */
+  val locat: BaselineTuner =
+    new BoPreset("LOCAT", tunefulSettings.copy(useDataSize = true), ldsOffset = 1)
+
   /** All §6.3 comparison methods, paper order. */
   def all: Vector[BaselineTuner] =
-    Vector(new RandomSearch, new Rfhoc, new Dac, new CherryPick,
-           new Tuneful, new Locat, new Ours)
+    Vector(new RandomSearch, new Rfhoc, new Dac, cherryPick, tuneful, locat, new Ours)
 }

@@ -73,3 +73,21 @@ final class Subspace(cs: ConfigSpace,
     }
   }
 }
+
+/** How the BO step chooses the dimensions its candidates vary (§4.1, and
+  * the space-handling of the §6.3 BO baselines). */
+sealed trait SubspacePolicy
+
+object SubspacePolicy {
+  /** The adaptive sub-space of §4.1: [[Subspace]] with TuRBO sizing and
+    * blended fANOVA refits. */
+  case object Adaptive extends SubspacePolicy
+
+  /** Every dimension free, no importance model (CherryPick). */
+  case object Full extends SubspacePolicy
+
+  /** Every dimension free until the history holds `n` runs; then one
+    * fANOVA fit picks the top-`k` dimensions, fixed for the rest of the
+    * session (Tuneful, LOCAT). */
+  final case class PrunedAfter(n: Int, k: Int) extends SubspacePolicy
+}

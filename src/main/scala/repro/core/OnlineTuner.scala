@@ -1,24 +1,32 @@
 package repro.core
 
 import scala.util.Random
-import repro.bo.{Acquisition, Agd, SafeRegion, Subspace}
+import repro.bo.{Acquisition, Agd, SafeRegion, Subspace, SubspacePolicy}
 import repro.env.SparkClusterSim
+import repro.importance.FAnova
 import repro.meta.TaskSimilarity
 import repro.space.{Config, ConfigSpace, SparkParams}
 import repro.surrogate.{Gp, MetaEnsemble, MixedKernel, Pred, Surrogate}
+
+/** Candidate configurations scored per BO proposal: uniform draws inside
+  * the sub-space, local perturbations of it, and global uniform draws over
+  * the whole space. Non-free dimensions of the sub-space draws are pinned to
+  * the best `anchors` distinct observed configs, used in turn. */
+final case class CandidateMix(inSubspace: Int, local: Int, global: Int, anchors: Int)
 
 /** Feature switches + hyper-parameters of the tuning framework.
   *
   * Defaults are the paper's (§4: τ_succ=3, τ_fail=5, K_min=4, K_init=10,
   * N_AGD=5, η=0.001; §4.2: γ; §3.3: low-discrepancy init, EI-based stop).
-  * Baselines and ablations are expressed by flipping the `use*` flags.
+  * Baselines and ablations are expressed by flipping the `use*` flags and
+  * choosing the sub-space policy and candidate mix (see `Baselines`).
   */
 final case class TunerSettings(
     nInit: Int = 3,
-    nCandidates: Int = 400,
+    candidates: CandidateMix = CandidateMix(inSubspace = 160, local = 200, global = 40, anchors = 3),
     useSafety: Boolean = true,
     useEic: Boolean = true,          // constraint-weighted acquisition (Eq. 6)
-    useSubspace: Boolean = true,
+    subspace: SubspacePolicy = SubspacePolicy.Adaptive,
     useAgd: Boolean = true,
     useDataSize: Boolean = true,
     gamma: Double = 0.7,
@@ -95,6 +103,20 @@ final class OnlineTuner(sim: SparkClusterSim,
     val subspace = new Subspace(cs, SparkParams.ExpertRanking,
       kInit = settings.kInit, kMin = settings.kMin,
       tauSucc = settings.tauSucc, tauFail = settings.tauFail)
+    val allDims = (0 until cs.dim).toSet
+    var pruned: Option[Set[Int]] = None
+    // Free dimensions of the next BO proposal. `PrunedAfter` fits fANOVA
+    // once, at the first proposal after `n` runs, and keeps its top-k.
+    def freeDims: Set[Int] = settings.subspace match {
+      case SubspacePolicy.Adaptive => subspace.freeDims
+      case SubspacePolicy.Full     => allDims
+      case SubspacePolicy.PrunedAfter(n, k) =>
+        if (pruned.isEmpty && history.size >= n)
+          pruned = Some(FAnova.importance(cs, history.all.map(_.config),
+            history.all.map(o => math.log(o.objective.max(1e-9))),
+            nMc = 100, nGrid = 6, seed = settings.seed).ranking.take(k).toSet)
+        pruned.getOrElse(allDims)
+    }
     val agd = new Agd(cs, objective.beta, sim.resource, eta = settings.agdEta)
     val initConfigs: Vector[Config] = {
       val lds = cs.sampleLowDiscrepancy(settings.nInit, settings.seed)
@@ -108,7 +130,7 @@ final class OnlineTuner(sim: SparkClusterSim,
       val nextDs = sim.spec.dataSizeAt(globalIter)
       val config: Config =
         if (it < initConfigs.size) initConfigs(it)
-        else suggest(history, subspace, agd, nextDs, it) match {
+        else suggest(history, freeDims, agd, nextDs) match {
           case Right(c) => c
           case Left(maxEi) => // stopping criterion fired
             stoppedAt = Some(it)
@@ -119,12 +141,14 @@ final class OnlineTuner(sim: SparkClusterSim,
         val y = objective.value(result)
         val improved = y < history.bestObjective && objective.feasible(result)
         history.add(Observation(config, result, y, objective.feasible(result), globalIter))
-        // AGD iterations are not sub-space proposals — the TuRBO-style
-        // streak counters only track the BO acquisitions (§4.1).
-        val wasAgd = settings.useAgd && (history.size % settings.nAgd == 0)
-        if (!wasAgd && it >= initConfigs.size) subspace.observe(improved)
-        subspace.maybeRefit(history.all.map(_.config),
-          history.all.map(o => math.log(o.objective.max(1e-9))), settings.seed + it)
+        if (settings.subspace == SubspacePolicy.Adaptive) {
+          // AGD iterations are not sub-space proposals — the TuRBO-style
+          // streak counters only track the BO acquisitions (§4.1).
+          val wasAgd = settings.useAgd && (history.size % settings.nAgd == 0)
+          if (!wasAgd && it >= initConfigs.size) subspace.observe(improved)
+          subspace.maybeRefit(history.all.map(_.config),
+            history.all.map(o => math.log(o.objective.max(1e-9))), settings.seed + it)
+        }
       }
       it += 1
     }
@@ -133,15 +157,15 @@ final class OnlineTuner(sim: SparkClusterSim,
 
   /** Algorithm 2: one configuration suggestion. Returns Left(maxEI) when
     * the stopping criterion fires (§3.3). */
-  private def suggest(history: RunHistory, subspace: Subspace, agd: Agd,
-                      nextDs: Double, it: Int): Either[Double, Config] = {
+  private def suggest(history: RunHistory, freeDims: => Set[Int], agd: Agd,
+                      nextDs: Double): Either[Double, Config] = {
     val obs = history.all
     val xs = obs.map(o => encode(o.config, o.result.dataSizeGB)).toArray
     val yObj = obs.map(o => math.log(o.objective.max(1e-9))).toArray
-    val yRt = obs.map(o => math.log(o.result.runtimeSec.max(1e-9))).toArray
 
     val gpObjLocal = fitGp(xs, yObj)
-    val gpRt = fitGp(xs, yRt)
+    // The runtime GP is fitted only when AGD, the safe region or EIC use it.
+    lazy val gpRt = fitGp(xs, obs.map(o => math.log(o.result.runtimeSec.max(1e-9))).toArray)
     val objSurrogate: Surrogate =
       if (metaBases.isEmpty) gpObjLocal
       else {
@@ -167,62 +191,55 @@ final class OnlineTuner(sim: SparkClusterSim,
     }
 
     // --- BO branch: sub-space ∩ safe region, EIC argmax (lines 6–8) ----
-    // Non-subspace dims are pinned to an anchor; using the top-3 configs
+    // Non-subspace dims are pinned to an anchor; using the top configs
     // (not just the incumbent) as anchors avoids locking a pathological
     // pinned value in place for the rest of the session.
+    val mix = settings.candidates
     val anchors: Vector[Config] = {
       val feas = obs.filter(_.feasible)
       val pool = if (feas.nonEmpty) feas else obs
-      pool.sortBy(_.objective).map(_.config).distinct.take(3)
+      pool.sortBy(_.objective).map(_.config).distinct.take(mix.anchors)
     }
     def anchorAt(i: Int): Config = anchors(i % anchors.size)
-    val free: Set[Int] =
-      if (settings.useSubspace) subspace.freeDims else (0 until cs.dim).toSet
-    val candidates: Vector[Config] = {
-      // TuRBO-style mixture inside the sub-space: uniform coverage of the
-      // free dims plus local moves around the incumbents, with a small
-      // global-restart stream.
-      val nSub = (settings.nCandidates * 0.4).toInt
-      val nLoc = (settings.nCandidates * 0.5).toInt
-      val nGlob = settings.nCandidates - nSub - nLoc
-      Vector.tabulate(nSub)(i => cs.sampleInSubspace(anchorAt(i), free, rng)) ++
-        Vector.tabulate(nLoc)(i => cs.perturbInSubspace(anchorAt(i), free, rng, sigma = 0.15)) ++
-        Vector.fill(nGlob)(cs.sampleRandom(rng))
-    }
+    val free = freeDims
+    // TuRBO-style mixture inside the sub-space: uniform coverage of the
+    // free dims plus local moves around the incumbents, with a global
+    // stream over the whole space.
+    val candidates: Vector[Config] =
+      Vector.tabulate(mix.inSubspace)(i => cs.sampleInSubspace(anchorAt(i), free, rng)) ++
+        Vector.tabulate(mix.local)(i => cs.perturbInSubspace(anchorAt(i), free, rng, sigma = 0.15)) ++
+        Vector.fill(mix.global)(cs.sampleRandom(rng))
 
-    val scored = candidates.map { c =>
+    // Resource constraint is analytic (white-box resource, §4.3).
+    val resourceOk = candidates.filter(c => sim.resource(c) <= objective.rMax)
+    val pool0 = if (resourceOk.nonEmpty) resourceOk else candidates
+
+    // Runtime constraint via the safe region and/or EIC, under a finite tMax.
+    val rtBound = !objective.tMax.isPosInfinity
+    val withSafety = settings.useSafety && rtBound
+    val withEic = settings.useEic && rtBound
+    val scored = pool0.map { c =>
       val x = encode(c, nextDs)
-      val pObj = objSurrogate.predict(x)
-      val pRt = gpRt.predict(x)
-      val res = sim.resource(c) // white-box resource (§4.3)
-      (c, pObj, pRt, res)
+      val rt = if (withSafety || withEic) Seq((gpRt.predict(x), math.log(objective.tMax))) else Nil
+      (c, x, rt)
     }
-
-    // Resource constraint is analytic; runtime constraint via safe region.
-    val resourceOk = scored.filter(_._4 <= objective.rMax)
-    val pool0 = if (resourceOk.nonEmpty) resourceOk else scored
     val pool =
-      if (!settings.useSafety || objective.tMax.isPosInfinity) pool0
+      if (!withSafety) scored
       else {
-        val safe = pool0.filter { case (_, _, pRt, _) =>
-          safeRegion.isSafe(Seq((pRt, math.log(objective.tMax))))
-        }
+        val safe = scored.filter(s => safeRegion.isSafe(s._3))
         if (safe.nonEmpty) safe
         else {
           // Cold start / empty safe set: expand conservatively from the
           // incumbent instead of free-ranging — keep only the quartile
           // with the lowest runtime upper bound (SafeOpt-style, [69]).
-          val ranked = pool0.sortBy { case (_, _, pRt, _) => safeRegion.upperBound(pRt) }
+          val ranked = scored.sortBy(s => safeRegion.upperBound(s._3.head._1))
           ranked.take((ranked.size / 4).max(1))
         }
       }
 
-    val withEic = pool.map { case (c, pObj, pRt, _) =>
-      val pr = if (!settings.useEic || objective.tMax.isPosInfinity) 1.0
-               else Acquisition.prFeasible(pRt, math.log(objective.tMax))
-      (c, pr * Acquisition.ei(pObj, yBestLog))
-    }
-    val (bestCand, maxEic) = withEic.maxBy(_._2)
+    val (bestCand, maxEic) = pool.map { case (c, x, rt) =>
+      (c, Acquisition.eic(objSurrogate.predict(x), yBestLog, if (withEic) rt else Nil))
+    }.maxBy(_._2)
     if (settings.stopEi > 0 && obs.size > settings.nInit && maxEic < settings.stopEi)
       Left(maxEic)
     else Right(bestCand)

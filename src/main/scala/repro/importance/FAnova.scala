@@ -15,12 +15,10 @@ import repro.space.ConfigSpace
   * Marginals are estimated by Monte-Carlo marginalization (grid over the
   * parameter × MC background samples) rather than exact tree marginals;
   * at ≤30 dims and small histories this is accurate and linear-time.
-  * Pairwise interaction importance uses the same construction on value
-  * pairs with the two single effects subtracted.
   */
 object FAnova {
 
-  final case class Result(single: Vector[Double], pairs: Map[(Int, Int), Double]) {
+  final case class Result(single: Vector[Double]) {
     /** Parameter indices ranked by single importance, descending. */
     def ranking: Vector[Int] = single.zipWithIndex.sortBy(-_._1).map(_._2)
   }
@@ -33,12 +31,10 @@ object FAnova {
     *
     * @param nMc    background Monte-Carlo samples
     * @param nGrid  grid resolution per numeric parameter
-    * @param topPairs evaluate pairwise terms only among this many top
-    *                 single-importance parameters (0 disables pairs)
     */
   def importance(cs: ConfigSpace,
                  configs: Seq[repro.space.Config], ys: Seq[Double],
-                 nMc: Int = 200, nGrid: Int = 8, topPairs: Int = 0,
+                 nMc: Int = 200, nGrid: Int = 8,
                  seed: Long = 0L): Result = {
     require(configs.size == ys.size && configs.nonEmpty, "empty history")
     val xs = configs.map(cs.toUnit).toArray
@@ -50,14 +46,14 @@ object FAnova {
     val mu = preds.sum / preds.length
     val totalVar = preds.map(p => (p - mu) * (p - mu)).sum / preds.length
     if (totalVar <= 1e-12)
-      return Result(Vector.fill(cs.dim)(0.0), Map.empty)
+      return Result(Vector.fill(cs.dim)(0.0))
 
-    def marginalMean(fixed: Seq[(Int, Double)]): Double = {
+    def marginalMean(d: Int, v: Double): Double = {
       var s = 0.0
       var b = 0
       while (b < bg.length) {
         val x = bg(b).clone()
-        fixed.foreach { case (d, v) => x(d) = v }
+        x(d) = v
         s += rf.predict(x)
         b += 1
       }
@@ -66,38 +62,11 @@ object FAnova {
 
     val singleVar = Vector.tabulate(cs.dim) { i =>
       val grid = gridFor(cs, i, nGrid)
-      val ms = grid.map(v => marginalMean(Seq(i -> v)))
+      val ms = grid.map(v => marginalMean(i, v))
       val m = ms.sum / ms.length
       ms.map(x => (x - m) * (x - m)).sum / ms.length
     }
-    val single = singleVar.map(_ / totalVar)
-
-    val pairs: Map[(Int, Int), Double] =
-      if (topPairs <= 1) Map.empty
-      else {
-        val top = single.zipWithIndex.sortBy(-_._1).take(topPairs).map(_._2)
-        (for {
-          ai <- top.indices; bi <- (ai + 1) until top.size
-          i = math.min(top(ai), top(bi)); j = math.max(top(ai), top(bi))
-        } yield {
-          val gi = gridFor(cs, i, nGrid / 2 max 2)
-          val gj = gridFor(cs, j, nGrid / 2 max 2)
-          val mi = gi.map(v => marginalMean(Seq(i -> v)))
-          val mj = gj.map(v => marginalMean(Seq(j -> v)))
-          val miBar = mi.sum / mi.length
-          val mjBar = mj.sum / mj.length
-          var v2 = 0.0
-          for (a <- gi.indices; b <- gj.indices) {
-            val joint = marginalMean(Seq(i -> gi(a), j -> gj(b)))
-            val inter = joint - (mi(a) - miBar) - (mj(b) - mjBar) - mu
-            v2 += (inter - mu) * (inter - mu)
-          }
-          // Interaction variance beyond the additive parts.
-          (i, j) -> (v2 / (gi.length * gj.length) / totalVar)
-        }).toMap
-      }
-
-    Result(single, pairs)
+    Result(singleVar.map(_ / totalVar))
   }
 
   /** Average single-importance scores across tasks (§4.1: "obtain the final

@@ -2,7 +2,7 @@ package repro.baselines
 
 import scala.util.Random
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.Objective
+import repro.core.{Objective, TunerSettings}
 import repro.env.{FleetGen, SparkClusterSim, Workloads}
 import repro.space.{SparkParams => SP}
 
@@ -42,9 +42,28 @@ class BaselinesSpec extends AnyFunSuite {
   }
 
   test("baselines are deterministic in their seed") {
-    val t = new Tuneful
+    val t = Baselines.tuneful
     def run(seed: Long) = t.tune(sim, obj, 8, seed, Vector(default)).all.map(_.objective)
     assert(run(11) == run(11))
+  }
+
+  test("BO presets choose only configs within the resource cap and the space's bounds") {
+    // Cap at the median resource of random configs: about half of every
+    // candidate batch exceeds it, and plenty of candidates respect it.
+    val rMax = {
+      val rs = cs.sampleRandom(new Random(9), 201).map(sim.resource).sorted
+      rs(100)
+    }
+    val capped = obj.copy(rMax = rMax)
+    for (b <- Seq(Baselines.cherryPick, Baselines.tuneful, Baselines.locat, new Ours);
+         seed <- Seq(4L, 5L)) {
+      val initial = if (b.name == "Ours") TunerSettings().nInit else 1 + 3
+      val chosen = b.tune(sim, capped, 20, seed, Vector(default)).all.drop(initial).map(_.config)
+      chosen.foreach { c =>
+        assert(sim.resource(c) <= rMax, s"${b.name} seed $seed")
+        assert(cs.clip(c) == c, s"${b.name} seed $seed")
+      }
+    }
   }
 
   test("GA search improves the fitness over its seed population") {

@@ -42,22 +42,14 @@ class FAnovaSpec extends AnyFunSuite {
     assert(res.single.forall(_ == 0.0))
   }
 
-  test("pairwise interactions computed only for topPairs > 1") {
-    val (xs, ys) = history(c => c(0) * c(1) * 8.0)
-    val none = FAnova.importance(cs, xs, ys, topPairs = 0, seed = 6)
-    assert(none.pairs.isEmpty)
-    val some = FAnova.importance(cs, xs, ys, topPairs = 2, seed = 6)
-    assert(some.pairs.nonEmpty)
-  }
-
   test("importance rejects empty history") {
     assertThrows[IllegalArgumentException](
       FAnova.importance(cs, Vector.empty, Vector.empty))
   }
 
   test("aggregate computes per-parameter mean and std") {
-    val r1 = FAnova.Result(Vector(0.4, 0.2, 0.0, 0.0), Map.empty)
-    val r2 = FAnova.Result(Vector(0.2, 0.4, 0.0, 0.0), Map.empty)
+    val r1 = FAnova.Result(Vector(0.4, 0.2, 0.0, 0.0))
+    val r2 = FAnova.Result(Vector(0.2, 0.4, 0.0, 0.0))
     val agg = FAnova.aggregate(Seq(r1, r2))
     assert(math.abs(agg(0)._1 - 0.3) < 1e-12)
     assert(math.abs(agg(0)._2 - 0.1) < 1e-12)
@@ -65,7 +57,7 @@ class FAnovaSpec extends AnyFunSuite {
   }
 
   test("ranking sorts descending by importance") {
-    val res = FAnova.Result(Vector(0.1, 0.5, 0.3, 0.0), Map.empty)
+    val res = FAnova.Result(Vector(0.1, 0.5, 0.3, 0.0))
     assert(res.ranking == Vector(1, 2, 0, 3))
   }
 }
