@@ -3,6 +3,7 @@ package repro
 import java.security.MessageDigest
 import org.scalatest.funsuite.AnyFunSuite
 import repro.baselines.Baselines
+import repro.bo.SubspacePolicy
 import repro.core.{Objective, OnlineTuner, RunHistory, TunerSettings, TuningService}
 import repro.env.{FleetGen, SparkClusterSim, Workloads}
 import repro.space.{SparkParams => SP}
@@ -45,6 +46,26 @@ class GoldenHistorySpec extends AnyFunSuite {
     test(s"OnlineTuner history on $task (beta=$beta, seed=$seed)") {
       val (sim, obj, default) = hibench(task, beta)
       val h = new OnlineTuner(sim, obj, TunerSettings(seed = seed), Vector(default)).tune(30).history
+      assert(digest(h) == expected)
+    }
+  }
+
+  // The §6.5 ablation settings (BenchSubspaceAgd) on pagerank, beta = 0.5, seed 3.
+  private val ablationGolden = Seq(
+    ("frozen 6-dim sub-space",
+      TunerSettings(seed = 3, kInit = 6, kMin = 6, tauSucc = Int.MaxValue, tauFail = Int.MaxValue),
+      "773496e418a2a1c33a68ff5e5c42d45efb0f9159b48892d6ae36a4c34bc4eff4"),
+    ("full space", TunerSettings(seed = 3, subspace = SubspacePolicy.Full),
+      "05faf5577083ea60c706f37e8f961e93fcf7b6b9f72545436e70119831051770"),
+    ("no safety, no EIC", TunerSettings(seed = 3, useSafety = false, useEic = false),
+      "77b132cdfcdfd46aba3528fda5d5e6cd9d30e9bfd0d298edebf647b827660f73"),
+    ("no AGD", TunerSettings(seed = 3, useAgd = false),
+      "be1b886859d409a8d37403524d487b87b029c6ee49c559929503c59b9d18fc1d"))
+
+  ablationGolden.foreach { case (label, settings, expected) =>
+    test(s"OnlineTuner history on pagerank with $label") {
+      val (sim, obj, default) = hibench("pagerank", 0.5)
+      val h = new OnlineTuner(sim, obj, settings, Vector(default)).tune(30).history
       assert(digest(h) == expected)
     }
   }
