@@ -43,8 +43,7 @@ class BenchSubspaceAgd extends AnyFunSuite {
   test("sub-space ablation on PageRank and TeraSort (prints Figure-7 table)") {
     val rows = Seq("pagerank", "terasort").map { t =>
       val full = costs(t, _.copy(subspace = SubspacePolicy.Full))
-      val small = costs(t, _.copy(kInit = 6, kMin = 6, tauSucc = Int.MaxValue,
-        tauFail = Int.MaxValue)) // frozen 6-dim space
+      val small = costs(t, _.copy(subspace = SubspacePolicy.FixedSize(6))) // frozen 6-dim space
       val adaptive = costs(t, identity)
       (t, full, small, adaptive)
     }

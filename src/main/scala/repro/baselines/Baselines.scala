@@ -29,13 +29,6 @@ private object BaselineUtil {
     o
   }
 
-  /** Log-objective targets for model fitting. */
-  def logYs(h: RunHistory): Array[Double] =
-    h.all.map(o => math.log(o.objective.max(1e-9))).toArray
-
-  def xs(cs: ConfigSpace, h: RunHistory): Array[Array[Double]] =
-    h.all.map(o => cs.toUnit(o.config)).toArray
-
   /** Simple generational GA over unit space searching `fitness` (lower is
     * better) — the search engine of RFHOC [7] and DAC [79]. */
   def gaSearch(cs: ConfigSpace, seedPop: Vector[Config], fitness: Config => Double,
@@ -81,63 +74,37 @@ final class RandomSearch extends BaselineTuner {
   }
 }
 
-/** RFHOC [7]: random-forest performance models + genetic-algorithm search.
-  * Designed for offline sample collection; here it receives the same
-  * online budget (each GA proposal costs one production run), which is the
-  * §6.3 finding — "ML models often need a large number of training
-  * samples, and 30 iterations are not sufficient". */
-final class Rfhoc extends BaselineTuner {
-  val name = "RFHOC"
-  def tune(sim: SparkClusterSim, objective: Objective, budget: Int, seed: Long,
-           init: Vector[Config]): RunHistory = {
-    val cs = sim.cs
-    val rng = new Random(seed)
-    val h = new RunHistory
-    var it = 0
-    while (it < budget) {
-      val c =
-        if (it < init.size) init(it)
-        else if (it < init.size + 6) cs.sampleRandom(rng) // sample-collection phase
-        else {
-          val rf = RandomForest.fit(BaselineUtil.xs(cs, h), BaselineUtil.logYs(h),
-            nTrees = 24, seed = seed + it)
-          val seedPop = h.all.sortBy(_.objective).take(5).map(_.config).toVector
-          BaselineUtil.gaSearch(cs, seedPop, c => rf.predict(cs.toUnit(c)), rng)
-        }
-      BaselineUtil.observe(sim, objective, h, c, it)
-      it += 1
-    }
-    h
-  }
-}
-
-/** DAC [79]: datasize-aware hierarchical regression-tree models (boosted
-  * trees here) + GA. Same online protocol as RFHOC, with the data size as
-  * an extra model feature. */
-final class Dac extends BaselineTuner {
-  val name = "DAC"
+/** RFHOC [7] and DAC [79]: a tree performance model fitted on the
+  * log-objective + genetic-algorithm search over it. Designed for offline
+  * sample collection; here they receive the same online budget (each GA
+  * proposal costs one production run), which is the §6.3 finding — "ML
+  * models often need a large number of training samples, and 30
+  * iterations are not sufficient". After `init`, six random configs form
+  * the sample-collection phase. `withDataSize` appends the run's data size
+  * to the model input (DAC). */
+private final class ModelGa(val name: String, withDataSize: Boolean,
+                            fit: (Array[Array[Double]], Array[Double], Long) => Array[Double] => Double)
+    extends BaselineTuner {
   def tune(sim: SparkClusterSim, objective: Objective, budget: Int, seed: Long,
            init: Vector[Config]): RunHistory = {
     val cs = sim.cs
     val rng = new Random(seed)
     val h = new RunHistory
     def enc(c: Config, ds: Double): Array[Double] =
-      cs.toUnit(c) :+ (ds / (2.0 * sim.spec.inputGB)).min(1.0).max(0.0)
-    var it = 0
-    while (it < budget) {
-      val nextDs = sim.spec.dataSizeAt(it)
+      if (withDataSize) cs.toUnit(c) :+ (ds / (2.0 * sim.spec.inputGB)).min(1.0).max(0.0)
+      else cs.toUnit(c)
+    (0 until budget).foreach { it =>
       val c =
         if (it < init.size) init(it)
         else if (it < init.size + 6) cs.sampleRandom(rng)
         else {
-          val xs = h.all.map(o => enc(o.config, o.result.dataSizeGB)).toArray
-          val model = Gbdt.fit(xs, BaselineUtil.logYs(h), nTrees = 40, maxDepth = 3,
-            seed = seed + it)
+          val model = fit(h.all.map(o => enc(o.config, o.result.dataSizeGB)).toArray,
+            h.all.map(o => math.log(o.objective.max(1e-9))).toArray, seed + it)
+          val nextDs = sim.spec.dataSizeAt(it)
           val seedPop = h.all.sortBy(_.objective).take(5).map(_.config).toVector
-          BaselineUtil.gaSearch(cs, seedPop, cc => model.predict(enc(cc, nextDs)), rng)
+          BaselineUtil.gaSearch(cs, seedPop, cc => model(enc(cc, nextDs)), rng)
         }
       BaselineUtil.observe(sim, objective, h, c, it)
-      it += 1
     }
     h
   }
@@ -166,6 +133,15 @@ final class Ours extends BaselineTuner {
 }
 
 object Baselines {
+  /** RFHOC [7]: random-forest performance models + GA search. */
+  val rfhoc: BaselineTuner = new ModelGa("RFHOC", withDataSize = false,
+    (xs, ys, seed) => RandomForest.fit(xs, ys, nTrees = 24, seed = seed).predict)
+
+  /** DAC [79]: datasize-aware hierarchical regression-tree models (boosted
+    * trees here) + GA, with the data size as an extra model feature. */
+  val dac: BaselineTuner = new ModelGa("DAC", withDataSize = true,
+    (xs, ys, seed) => Gbdt.fit(xs, ys, nTrees = 40, maxDepth = 3, seed = seed).predict)
+
   /** CherryPick [2]: vanilla constrained BO (EIC) over the full space —
     * no space reduction, no safe region, no datasize awareness, no AGD,
     * and plain random candidates ("CherryPick does not reduce the
@@ -196,5 +172,5 @@ object Baselines {
 
   /** All §6.3 comparison methods, paper order. */
   def all: Vector[BaselineTuner] =
-    Vector(new RandomSearch, new Rfhoc, new Dac, cherryPick, tuneful, locat, new Ours)
+    Vector(new RandomSearch, rfhoc, dac, cherryPick, tuneful, locat, new Ours)
 }

@@ -3,29 +3,39 @@ package repro.bo
 import repro.importance.FAnova
 import repro.space.{Config, ConfigSpace}
 
-/** Adaptive sub-space generation (§4.1).
+/** The sub-space policy of a BO step (§4.1): which dimensions a proposal
+  * may vary, and when fANOVA runs.
   *
-  * Maintains a parameter ranking (expert prior until enough history exists,
-  * then fANOVA importances averaged over what has been observed) and a
-  * TuRBO-style size controller: τ_succ=3 consecutive improvements grow the
-  * sub-space by 2 (up to K_max), τ_fail=5 consecutive non-improvements
-  * shrink it by 2 (down to K_min=4); counters reset on every resize.
+  * The ranking starts from the expert prior. Under `Adaptive` and
+  * `FixedSize` it is refreshed every 5 runs once 8 exist, blending each
+  * fANOVA refit into running scores; `Adaptive` also sizes the sub-space
+  * TuRBO-style: τ_succ=3 consecutive improvements grow it by 2 (up to
+  * K_max = dim), τ_fail=5 consecutive non-improvements shrink it by 2
+  * (down to K_min=4) from K_init=10; counters reset on every resize.
+  * `PrunedAfter` fits fANOVA once, with `seed`, when the history first
+  * holds `n` runs.
   */
 final class Subspace(cs: ConfigSpace,
                      expertRanking: Vector[String],
-                     kInit: Int = 10, kMin: Int = 4,
-                     tauSucc: Int = 3, tauFail: Int = 5,
-                     refitEvery: Int = 5, minHistoryForFanova: Int = 8) {
+                     policy: SubspacePolicy = SubspacePolicy.Adaptive,
+                     seed: Long = 0L) {
+  import Subspace._
+  import SubspacePolicy._
 
   private val kMax: Int = cs.dim
-  private var k: Int = kInit.min(kMax).max(kMin)
+  private var k: Int = policy match {
+    case Adaptive     => KInit.min(kMax).max(KMin)
+    case FixedSize(n) => n.min(kMax)
+    case _            => kMax
+  }
   private var succ = 0
   private var fail = 0
+  private var pruned = false
   // Running importance scores, seeded from the expert prior (§4.1). Each
   // fANOVA refit is *blended* into the running scores rather than replacing
   // them — the paper averages importance across histories, which keeps the
   // ranking stable against the noise of a single small tuning history.
-  private var scores: Array[Double] = {
+  private val scores: Array[Double] = {
     val s = new Array[Double](cs.dim)
     val prior = expertRanking.filter(cs.contains).map(cs.indexOf) ++
       (0 until cs.dim).filterNot(i =>
@@ -44,34 +54,52 @@ final class Subspace(cs: ConfigSpace,
 
   def currentRanking: Vector[Int] = ranking
 
-  /** Record the outcome of an evaluated configuration: `improved` is
-    * whether it beat the incumbent ("success"/"failure", §4.1). */
-  def observe(improved: Boolean): Unit = {
+  /** Record the outcome of a BO proposal: `improved` is whether it beat
+    * the incumbent ("success"/"failure", §4.1). Only `Adaptive` resizes. */
+  def observe(improved: Boolean): Unit = if (policy == Adaptive) {
     if (improved) { succ += 1; fail = 0 } else { fail += 1; succ = 0 }
-    if (succ >= tauSucc) { k = (k + 2).min(kMax); succ = 0; fail = 0 }
-    else if (fail >= tauFail) { k = (k - 2).max(kMin); succ = 0; fail = 0 }
+    if (succ >= TauSucc) { k = (k + 2).min(kMax); succ = 0; fail = 0 }
+    else if (fail >= TauFail) { k = (k - 2).max(KMin); succ = 0; fail = 0 }
   }
 
-  /** Periodically refresh the ranking from tuning history via fANOVA
-    * ("once new tuning history arrives, we continuously update the
-    * importance score"). */
-  def maybeRefit(configs: Seq[Config], ys: Seq[Double], seed: Long = 0L): Unit = {
-    sinceRefit += 1
-    if (configs.size >= minHistoryForFanova && sinceRefit >= refitEvery) {
-      sinceRefit = 0
-      val res = FAnova.importance(cs, configs, ys, nMc = 120, nGrid = 6, seed = seed)
-      // Normalize the fANOVA scores to the running-score scale and blend.
-      val mx = res.single.max
-      if (mx > 1e-12) {
-        var i = 0
-        while (i < cs.dim) {
-          scores(i) = 0.7 * scores(i) + 0.3 * (res.single(i) / mx)
-          i += 1
+  /** Called after every run with the whole history: refreshes the ranking
+    * when the policy asks for it ("once new tuning history arrives, we
+    * continuously update the importance score"). */
+  def maybeRefit(configs: Seq[Config], ys: Seq[Double], refitSeed: Long = 0L): Unit =
+    policy match {
+      case Full => ()
+      case PrunedAfter(n, kPruned) =>
+        if (!pruned && configs.size >= n) {
+          pruned = true
+          ranking = FAnova.importance(cs, configs, ys, nMc = 100, nGrid = 6, seed = seed).ranking
+          k = kPruned.min(kMax)
         }
-        ranking = scores.zipWithIndex.sortBy(-_._1).map(_._2).toVector
-      }
+      case Adaptive | FixedSize(_) =>
+        sinceRefit += 1
+        if (configs.size >= MinHistory && sinceRefit >= RefitEvery) {
+          sinceRefit = 0
+          val res = FAnova.importance(cs, configs, ys, nMc = 120, nGrid = 6, seed = refitSeed)
+          // Normalize the fANOVA scores to the running-score scale and blend.
+          val mx = res.single.max
+          if (mx > 1e-12) {
+            var i = 0
+            while (i < cs.dim) {
+              scores(i) = 0.7 * scores(i) + 0.3 * (res.single(i) / mx)
+              i += 1
+            }
+            ranking = scores.zipWithIndex.sortBy(-_._1).map(_._2).toVector
+          }
+        }
     }
-  }
+}
+
+object Subspace {
+  private val KInit = 10
+  private val KMin = 4
+  private val TauSucc = 3
+  private val TauFail = 5
+  private val RefitEvery = 5
+  private val MinHistory = 8
 }
 
 /** How the BO step chooses the dimensions its candidates vary (§4.1, and
@@ -79,9 +107,13 @@ final class Subspace(cs: ConfigSpace,
 sealed trait SubspacePolicy
 
 object SubspacePolicy {
-  /** The adaptive sub-space of §4.1: [[Subspace]] with TuRBO sizing and
-    * blended fANOVA refits. */
+  /** The adaptive sub-space of §4.1: TuRBO sizing and blended fANOVA
+    * refits. */
   case object Adaptive extends SubspacePolicy
+
+  /** The top-`k` of the blended, periodically refit ranking; never resized
+    * (the small fixed sub-space of the §6.5 ablation). */
+  final case class FixedSize(k: Int) extends SubspacePolicy
 
   /** Every dimension free, no importance model (CherryPick). */
   case object Full extends SubspacePolicy

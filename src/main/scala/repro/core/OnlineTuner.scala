@@ -3,7 +3,6 @@ package repro.core
 import scala.util.Random
 import repro.bo.{Acquisition, Agd, SafeRegion, Subspace, SubspacePolicy}
 import repro.env.SparkClusterSim
-import repro.importance.FAnova
 import repro.meta.TaskSimilarity
 import repro.space.{Config, ConfigSpace, SparkParams}
 import repro.surrogate.{Gp, MetaEnsemble, MixedKernel, Pred, Surrogate}
@@ -14,12 +13,13 @@ import repro.surrogate.{Gp, MetaEnsemble, MixedKernel, Pred, Surrogate}
   * the best `anchors` distinct observed configs, used in turn. */
 final case class CandidateMix(inSubspace: Int, local: Int, global: Int, anchors: Int)
 
-/** Feature switches + hyper-parameters of the tuning framework.
+/** Feature switches of the tuning framework.
   *
-  * Defaults are the paper's (§4: τ_succ=3, τ_fail=5, K_min=4, K_init=10,
-  * N_AGD=5, η=0.001; §4.2: γ; §3.3: low-discrepancy init, EI-based stop).
-  * Baselines and ablations are expressed by flipping the `use*` flags and
-  * choosing the sub-space policy and candidate mix (see `Baselines`).
+  * The paper's constants live where they are used: the sub-space sizing
+  * and refit schedule in `Subspace` (§4.1), γ = 0.7 in `SafeRegion` (§4.2),
+  * η = 0.001 in `Agd` and N_AGD = 5 in `OnlineTuner` (§4.3). Baselines and
+  * ablations are expressed by flipping the `use*` flags and choosing the
+  * sub-space policy and candidate mix (see `Baselines`).
   */
 final case class TunerSettings(
     nInit: Int = 3,
@@ -29,10 +29,6 @@ final case class TunerSettings(
     subspace: SubspacePolicy = SubspacePolicy.Adaptive,
     useAgd: Boolean = true,
     useDataSize: Boolean = true,
-    gamma: Double = 0.7,
-    nAgd: Int = 5,
-    agdEta: Double = 0.001,
-    kInit: Int = 10, kMin: Int = 4, tauSucc: Int = 3, tauFail: Int = 5,
     stopEi: Double = 0.0,            // >0 enables the §3.3 stopping criterion
     seed: Long = 0L)
 
@@ -54,10 +50,11 @@ final class OnlineTuner(sim: SparkClusterSim,
                         settings: TunerSettings = TunerSettings(),
                         warmStart: Vector[Config] = Vector.empty,
                         metaBases: Vector[(Surrogate, Double)] = Vector.empty) {
+  import OnlineTuner.NAgd
 
   private val cs: ConfigSpace = sim.cs
   private val rng = new Random(settings.seed)
-  private val safeRegion = new SafeRegion(settings.gamma)
+  private val safeRegion = new SafeRegion()
 
   /** Unit-encode a config, appending the normalized data size when the
     * datasize-aware surrogate is enabled (§3.3 Dynamic Workload Support). */
@@ -100,27 +97,12 @@ final class OnlineTuner(sim: SparkClusterSim,
     */
   def tune(budget: Int, startIter: Int = 0): TuneOutcome = {
     val history = new RunHistory
-    val subspace = new Subspace(cs, SparkParams.ExpertRanking,
-      kInit = settings.kInit, kMin = settings.kMin,
-      tauSucc = settings.tauSucc, tauFail = settings.tauFail)
-    val allDims = (0 until cs.dim).toSet
-    var pruned: Option[Set[Int]] = None
-    // Free dimensions of the next BO proposal. `PrunedAfter` fits fANOVA
-    // once, at the first proposal after `n` runs, and keeps its top-k.
-    def freeDims: Set[Int] = settings.subspace match {
-      case SubspacePolicy.Adaptive => subspace.freeDims
-      case SubspacePolicy.Full     => allDims
-      case SubspacePolicy.PrunedAfter(n, k) =>
-        if (pruned.isEmpty && history.size >= n)
-          pruned = Some(FAnova.importance(cs, history.all.map(_.config),
-            history.all.map(o => math.log(o.objective.max(1e-9))),
-            nMc = 100, nGrid = 6, seed = settings.seed).ranking.take(k).toSet)
-        pruned.getOrElse(allDims)
-    }
-    val agd = new Agd(cs, objective.beta, sim.resource, eta = settings.agdEta)
+    val subspace = new Subspace(cs, SparkParams.ExpertRanking, settings.subspace, settings.seed)
+    val agd = new Agd(cs, objective.beta, sim.resource)
+    // At least one config: the first BO proposal needs a history to fit on.
     val initConfigs: Vector[Config] = {
-      val lds = cs.sampleLowDiscrepancy(settings.nInit, settings.seed)
-      (warmStart ++ lds).take(settings.nInit.max(warmStart.size))
+      val n = settings.nInit.max(1)
+      (warmStart ++ cs.sampleLowDiscrepancy(n, settings.seed)).take(n.max(warmStart.size))
     }
     var stoppedAt: Option[Int] = None
 
@@ -128,9 +110,10 @@ final class OnlineTuner(sim: SparkClusterSim,
     while (it < budget && stoppedAt.isEmpty) {
       val globalIter = startIter + it
       val nextDs = sim.spec.dataSizeAt(globalIter)
+      val agdTurn = settings.useAgd && (history.size + 1) % NAgd == 0
       val config: Config =
         if (it < initConfigs.size) initConfigs(it)
-        else suggest(history, freeDims, agd, nextDs) match {
+        else suggest(history, subspace.freeDims, agdTurn, agd, nextDs) match {
           case Right(c) => c
           case Left(maxEi) => // stopping criterion fired
             stoppedAt = Some(it)
@@ -141,14 +124,11 @@ final class OnlineTuner(sim: SparkClusterSim,
         val y = objective.value(result)
         val improved = y < history.bestObjective && objective.feasible(result)
         history.add(Observation(config, result, y, objective.feasible(result), globalIter))
-        if (settings.subspace == SubspacePolicy.Adaptive) {
-          // AGD iterations are not sub-space proposals — the TuRBO-style
-          // streak counters only track the BO acquisitions (§4.1).
-          val wasAgd = settings.useAgd && (history.size % settings.nAgd == 0)
-          if (!wasAgd && it >= initConfigs.size) subspace.observe(improved)
-          subspace.maybeRefit(history.all.map(_.config),
-            history.all.map(o => math.log(o.objective.max(1e-9))), settings.seed + it)
-        }
+        // AGD iterations are not sub-space proposals — the TuRBO-style
+        // streak counters only track the BO acquisitions (§4.1).
+        if (!agdTurn && it >= initConfigs.size) subspace.observe(improved)
+        subspace.maybeRefit(history.all.map(_.config),
+          history.all.map(o => math.log(o.objective.max(1e-9))), settings.seed + it)
       }
       it += 1
     }
@@ -157,7 +137,7 @@ final class OnlineTuner(sim: SparkClusterSim,
 
   /** Algorithm 2: one configuration suggestion. Returns Left(maxEI) when
     * the stopping criterion fires (§3.3). */
-  private def suggest(history: RunHistory, freeDims: => Set[Int], agd: Agd,
+  private def suggest(history: RunHistory, free: Set[Int], agdTurn: Boolean, agd: Agd,
                       nextDs: Double): Either[Double, Config] = {
     val obs = history.all
     val xs = obs.map(o => encode(o.config, o.result.dataSizeGB)).toArray
@@ -180,7 +160,7 @@ final class OnlineTuner(sim: SparkClusterSim,
       Array((nextDs / (2.0 * sim.spec.inputGB)).min(1.0).max(0.0)) else Array.empty[Double]
 
     // --- AGD branch (every N_AGD iterations; Algorithm 2 lines 2–4) -----
-    if (settings.useAgd && (obs.size + 1) % settings.nAgd == 0) {
+    if (agdTurn) {
       val rtForAgd = new Surrogate { // expose runtime on the natural scale
         def predict(x: Array[Double]): Pred = {
           val p = gpRt.predict(x)
@@ -201,7 +181,6 @@ final class OnlineTuner(sim: SparkClusterSim,
       pool.sortBy(_.objective).map(_.config).distinct.take(mix.anchors)
     }
     def anchorAt(i: Int): Config = anchors(i % anchors.size)
-    val free = freeDims
     // TuRBO-style mixture inside the sub-space: uniform coverage of the
     // free dims plus local moves around the incumbents, with a global
     // stream over the whole space.
@@ -255,4 +234,9 @@ final class OnlineTuner(sim: SparkClusterSim,
     val expected = obs.dropRight(window).map(_.objective).min
     recent.forall(_.objective > expected * (1.0 + tol))
   }
+}
+
+object OnlineTuner {
+  /** N_AGD (§4.3): every fifth run is an AGD step. */
+  private val NAgd = 5
 }

@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.{Dataset, SparkSession}
-import repro.env.{FleetGen, ProdTask, SparkClusterSim}
+import repro.env.{FleetGen, ProdTask, RunResult, SparkClusterSim}
 import repro.meta.{MetaFeatures, SourceTask, TaskSimilarity, WarmStart}
 import repro.space.Config
 
@@ -27,28 +27,19 @@ object TuningService {
   /** Number of manual executions averaged for the pre/post windows. */
   val Window = 5
 
-  /** Tune one production task end-to-end and report the Table-2/3 metrics.
-    *
-    * Mirrors the production recipe: objective = execution cost (β=0.5),
-    * constraints = 2× the manual configuration's metrics, budget 20.
-    */
-  def tuneOne(task: ProdTask, budget: Int = 20,
-              settings: TunerSettings = TunerSettings(),
-              warmStart: Vector[Config] = Vector.empty): FleetRow = {
-    val cs = FleetGen.prodSpace
-    val sim = new SparkClusterSim(task.spec, cs)
+  /** One production task's session: `Window` runs under the manual config
+    * (pre-tuning), then `budget` online trials of the production recipe —
+    * objective = execution cost (β=0.5), constraints = 2× the manual
+    * configuration's metrics. */
+  private final case class Session(sim: SparkClusterSim, pre: IndexedSeq[RunResult], history: RunHistory)
 
-    // Pre-tuning: the periodic job under the engineers' manual config.
+  private def session(task: ProdTask, budget: Int, settings: TunerSettings,
+                      warmStart: Vector[Config]): Session = {
+    val sim = new SparkClusterSim(task.spec, FleetGen.prodSpace)
     val pre = (0 until Window).map(i => sim.run(task.manual, i))
     val preRt = pre.map(_.runtimeSec).sum / Window
-    val preMem = pre.map(_.memUsageGBh).sum / Window
-    val preCpu = pre.map(_.cpuUsageCoreH).sum / Window
-
     val objective = Objective(beta = 0.5)
       .withConstraintsFrom(preRt, sim.resource(task.manual))
-    // Reported "execution cost" is the paper's product T·R (the β=0.5
-    // objective √(T·R) has the same minimizer; §3.2).
-    val preCost = preRt * sim.resource(task.manual)
 
     // Online tuning starts from the incumbent: the manual configuration is
     // the first "trial" (it is what production is already running), then
@@ -67,8 +58,22 @@ object TuningService {
     val tuner = new OnlineTuner(sim, objective,
       settings.copy(seed = settings.seed + task.spec.seed, nInit = 1),
       task.manual +: screened)
-    val out = tuner.tune(budget, startIter = Window)
-    val hist = out.history
+    Session(sim, pre, tuner.tune(budget, startIter = Window).history)
+  }
+
+  /** Tune one production task end-to-end and report the Table-2/3 metrics
+    * (budget 20 in the production recipe). */
+  def tuneOne(task: ProdTask, budget: Int = 20,
+              settings: TunerSettings = TunerSettings(),
+              warmStart: Vector[Config] = Vector.empty): FleetRow = {
+    val cs = FleetGen.prodSpace
+    val Session(sim, pre, hist) = session(task, budget, settings, warmStart)
+    val preRt = pre.map(_.runtimeSec).sum / Window
+    val preMem = pre.map(_.memUsageGBh).sum / Window
+    val preCpu = pre.map(_.cpuUsageCoreH).sum / Window
+    // Reported "execution cost" is the paper's product T·R (the β=0.5
+    // objective √(T·R) has the same minimizer; §3.2).
+    val preCost = preRt * sim.resource(task.manual)
 
     val under = hist.all.map(_.result)
     val underRt = under.map(_.runtimeSec).sum / under.size
@@ -102,16 +107,9 @@ object TuningService {
   def buildKnowledgeBase(n: Int = 8, budget: Int = 20, seed: Long = 7L)
       : (TaskSimilarity.DistanceModel, Vector[SourceTask]) = {
     val cs = FleetGen.prodSpace
-    val hist = FleetGen.fleet(n, seed = seed * 131 + 5)
-    val sources = hist.map { task =>
-      val sim = new SparkClusterSim(task.spec, cs)
-      val pre = (0 until Window).map(i => sim.run(task.manual, i))
-      val preRt = pre.map(_.runtimeSec).sum / Window
-      val objective = Objective(0.5).withConstraintsFrom(preRt, sim.resource(task.manual))
-      val out = new OnlineTuner(sim, objective,
-        TunerSettings(seed = task.spec.seed, nInit = 1), Vector(task.manual))
-        .tune(budget, startIter = Window)
-      SourceTask.fromHistory(cs, task.name, MetaFeatures.fromSpec(task.spec), out.history.all)
+    val sources = FleetGen.fleet(n, seed = seed * 131 + 5).map { task =>
+      val hist = session(task, budget, TunerSettings(), Vector.empty).history
+      SourceTask.fromHistory(cs, task.name, MetaFeatures.fromSpec(task.spec), hist.all)
     }
     val model = TaskSimilarity.train(cs, sources.map(s => (s.metaFeatures, s.surrogate)),
       nSample = 120, seed = seed)

@@ -52,8 +52,7 @@ class GoldenHistorySpec extends AnyFunSuite {
 
   // The §6.5 ablation settings (BenchSubspaceAgd) on pagerank, beta = 0.5, seed 3.
   private val ablationGolden = Seq(
-    ("frozen 6-dim sub-space",
-      TunerSettings(seed = 3, kInit = 6, kMin = 6, tauSucc = Int.MaxValue, tauFail = Int.MaxValue),
+    ("frozen 6-dim sub-space", TunerSettings(seed = 3, subspace = SubspacePolicy.FixedSize(6)),
       "773496e418a2a1c33a68ff5e5c42d45efb0f9159b48892d6ae36a4c34bc4eff4"),
     ("full space", TunerSettings(seed = 3, subspace = SubspacePolicy.Full),
       "05faf5577083ea60c706f37e8f961e93fcf7b6b9f72545436e70119831051770"),

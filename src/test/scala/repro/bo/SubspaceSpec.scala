@@ -57,21 +57,52 @@ class SubspaceSpec extends AnyFunSuite {
     assert(s.size == 14)
   }
 
-  test("maybeRefit replaces the ranking from history via fANOVA") {
-    val s = new Subspace(cs, SparkParams.ExpertRanking, refitEvery = 1, minHistoryForFanova = 10)
+  /** 40 random configs whose objective depends only on executor.memory. */
+  private val iMem = cs.indexOf(SparkParams.ExecMemory)
+  private val memHistory = {
     val rng = new Random(3)
-    val iMem = cs.indexOf(SparkParams.ExecMemory)
-    // Synthetic history where only executor.memory matters.
     val configs = Vector.fill(40)(cs.sampleRandom(rng))
-    val ys = configs.map(c => cs.toUnit(c)(iMem) * 10.0)
-    s.maybeRefit(configs, ys, seed = 1)
+    (configs, configs.map(c => cs.toUnit(c)(iMem) * 10.0))
+  }
+
+  test("maybeRefit replaces the ranking from history via fANOVA") {
+    val s = fresh
+    val (configs, ys) = memHistory
+    val before = s.currentRanking
+    (1 to 4).foreach(_ => s.maybeRefit(configs, ys, 1))
+    assert(s.currentRanking == before)
+    s.maybeRefit(configs, ys, 1)
     assert(s.currentRanking.head == iMem)
   }
 
   test("maybeRefit is a no-op below the history threshold") {
-    val s = new Subspace(cs, SparkParams.ExpertRanking, refitEvery = 1)
+    val s = fresh
+    val (configs, ys) = memHistory
     val before = s.currentRanking
-    s.maybeRefit(Vector.empty, Vector.empty, 0)
+    (1 to 10).foreach(_ => s.maybeRefit(configs.take(7), ys.take(7), 1))
     assert(s.currentRanking == before)
+  }
+
+  test("FixedSize keeps K while the ranking refits; Full frees every dim") {
+    val fixed = new Subspace(cs, SparkParams.ExpertRanking, SubspacePolicy.FixedSize(6))
+    val full = new Subspace(cs, SparkParams.ExpertRanking, SubspacePolicy.Full)
+    val (configs, ys) = memHistory
+    (1 to 20).foreach { i =>
+      Seq(fixed, full).foreach { s => s.observe(i % 7 != 0); s.maybeRefit(configs, ys, i) }
+    }
+    assert(fixed.size == 6 && fixed.currentRanking.head == iMem)
+    assert(full.freeDims == (0 until cs.dim).toSet)
+  }
+
+  test("PrunedAfter frees every dim until n runs, then fixes the fANOVA top-k") {
+    val s = new Subspace(cs, SparkParams.ExpertRanking, SubspacePolicy.PrunedAfter(10, 8), seed = 1)
+    val (configs, ys) = memHistory
+    s.maybeRefit(configs.take(9), ys.take(9))
+    assert(s.freeDims == (0 until cs.dim).toSet)
+    s.maybeRefit(configs.take(10), ys.take(10))
+    val pruned = s.freeDims
+    assert(pruned.size == 8)
+    (1 to 10).foreach { _ => s.observe(improved = true); s.maybeRefit(configs, ys) }
+    assert(s.freeDims == pruned)
   }
 }

@@ -80,7 +80,7 @@ class OnlineTunerSpec extends AnyFunSuite {
 
   test("AGD iterations appear every N_AGD trials and stay legal") {
     val out = new OnlineTuner(sim, objective,
-      TunerSettings(seed = 9, nAgd = 5), Vector(manual)).tune(12)
+      TunerSettings(seed = 9), Vector(manual)).tune(12)
     out.history.all.foreach(o => assert(cs.clip(o.config) == o.config))
   }
 
@@ -91,5 +91,27 @@ class OnlineTunerSpec extends AnyFunSuite {
     val out = new OnlineTuner(sim, objective, TunerSettings(seed = 11),
       Vector(manual), Vector((src.surrogate, 0.8))).tune(10)
     assert(out.history.size == 10)
+  }
+
+  test("nInit = 0 without a warm start opens with one low-discrepancy config") {
+    val out = new OnlineTuner(sim, objective, TunerSettings(seed = 12, nInit = 0)).tune(5)
+    assert(out.history.size == 5)
+    assert(out.history.all.head.config == cs.sampleLowDiscrepancy(1, 12).head)
+  }
+
+  test("degenerate histories (duplicate configs, all runs failed) neither throw nor leave the space") {
+    val default = SP.defaults(cs)
+    Workloads.six.foreach { spec =>
+      val s = new SparkClusterSim(spec, cs)
+      val obj = Objective(0.5).withConstraintsFrom(
+        s.expectedRuntime(default, spec.inputGB), s.resource(default))
+      val h = new OnlineTuner(s, obj, TunerSettings(seed = 5, nInit = 1), Vector.fill(5)(default))
+        .tune(12).history
+      assert(h.size == 12, spec.name)
+      // The default config fails on these four, so the first BO fit sees only failed runs.
+      assert(h.all.take(5).forall(_.result.failed) ==
+        Set("bayes", "nweight", "pagerank", "terasort").contains(spec.name), spec.name)
+      h.all.foreach(o => assert(cs.clip(o.config) == o.config, spec.name))
+    }
   }
 }

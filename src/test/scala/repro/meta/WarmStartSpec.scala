@@ -1,7 +1,7 @@
 package repro.meta
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.{Objective, Observation}
+import repro.core.Observation
 import repro.env.{FleetGen, RunResult}
 import repro.space.{SparkParams => SP}
 import repro.surrogate.{Pred, Surrogate}
@@ -48,7 +48,7 @@ class WarmStartSpec extends AnyFunSuite {
 
   test("initialConfigs skips sources with empty histories") {
     val empty = SourceTask("e", Array.fill(MetaFeatures.Dim)(0.0), Vector.empty,
-      (x: Array[Double]) => Pred(0.0, 1.0))
+      (_: Array[Double]) => Pred(0.0, 1.0))
     val inits = WarmStart.initialConfigs(model, Array.fill(MetaFeatures.Dim)(0.0),
       Seq(empty, srcTask("a", 6, 0.0)), top = 2)
     assert(inits.size == 1)

@@ -2,6 +2,7 @@ package repro.surrogate
 
 import scala.util.Random
 import org.scalatest.funsuite.AnyFunSuite
+import repro.space.SparkParams
 
 class GpSpec extends AnyFunSuite {
   private def kOf(ls: Double): Kernel = new Matern52(Array(0), 0.5 * ls)
@@ -54,6 +55,20 @@ class GpSpec extends AnyFunSuite {
     (0 to 10).foreach { i =>
       val p = gp.predict(Array(i / 10.0))
       assert(!p.mean.isNaN && p.variance > 0)
+    }
+  }
+
+  test("degenerate histories give finite predictions: n = 1, constant targets on duplicates") {
+    val cs = SparkParams.space()
+    def kernel(ls: Double): Kernel = MixedKernel.forSpace(cs, withDataSize = false, numLs = 0.5 * ls, catLs = ls)
+    val x = cs.toUnit(SparkParams.defaults(cs))
+    val probes = Seq(x, cs.toUnit(cs.sampleRandom(new Random(1))))
+    Seq(Array(x) -> Array(0.0), Array.fill(5)(x) -> Array.fill(5)(3.0)).foreach { case (xs, ys) =>
+      val gp = Gp.fit(xs, ys, kernel, noise = 1e-3)
+      probes.foreach { p =>
+        val pred = gp.predict(p)
+        assert(pred.mean.isFinite && pred.variance.isFinite && pred.variance >= 0, s"n = ${xs.length}")
+      }
     }
   }
 

@@ -38,7 +38,6 @@ class HiBenchJobsSpec extends SparkSpec {
 
   test("terasort partitions are internally sorted and range-disjoint") {
     val df = HiBenchJobs.teraSort(spark, SF)
-    import org.apache.spark.sql.Row
     val parts: Array[(Int, Seq[String])] = df.select("key").rdd
       .mapPartitionsWithIndex { (i, it) => Iterator((i, it.map(_.getString(0)).toSeq)) }
       .collect()
