@@ -6,6 +6,7 @@ import repro.baselines.Baselines
 import repro.bo.SubspacePolicy
 import repro.core.{Objective, OnlineTuner, RunHistory, TunerSettings, TuningService}
 import repro.env.{FleetGen, SparkClusterSim, Workloads}
+import repro.meta.{MetaFeatures, WarmStart}
 import repro.space.{SparkParams => SP}
 
 /** Golden histories: under fixed seeds every tuning session is a pure
@@ -82,6 +83,18 @@ class GoldenHistorySpec extends AnyFunSuite {
         case x         => x.toString
       }.mkString(",")) == expected)
     }
+  }
+
+  // The meta-learning path (§5): knowledge base → learned task distance →
+  // warm-start configs for a fleet task. The digest covers the task's
+  // distance to every source and the warm-start config vectors.
+  test("knowledge-base task distances and warm start for fleet task 0") {
+    val (model, sources) = TuningService.buildKnowledgeBase()
+    val meta = MetaFeatures.fromSpec(FleetGen.fleet(2, seed = 42).head.spec)
+    val dists = sources.map(s => model.distance(meta, s.metaFeatures))
+    val warm = WarmStart.initialConfigs(model, meta, sources)
+    assert(sha256((dists +: warm.map(_.values)).map(_.map(bits).mkString(",")).mkString("\n")) ==
+      "70c88e675408ff8fefdf4d25c7ad170dccba9cd9c33953da7d6a333dc2d7b185")
   }
 
   private val baselineGolden = Map(
