@@ -46,7 +46,7 @@ private object BaselineUtil {
         var i = 0
         while (i < cs.dim) {
           if (rng.nextDouble() < 0.15)
-            x(i) = if (cs.isCat(i)) rng.nextInt(cs.cardinality(i)).toDouble
+            x(i) = if (cs.isCat(i)) cs.choiceUnit(i, rng.nextInt(cs.cardinality(i)))
                    else (x(i) + rng.nextGaussian() * 0.15).max(0.0).min(1.0)
           i += 1
         }
@@ -90,9 +90,7 @@ private final class ModelGa(val name: String, withDataSize: Boolean,
     val cs = sim.cs
     val rng = new Random(seed)
     val h = new RunHistory
-    def enc(c: Config, ds: Double): Array[Double] =
-      if (withDataSize) cs.toUnit(c) :+ (ds / (2.0 * sim.spec.inputGB)).min(1.0).max(0.0)
-      else cs.toUnit(c)
+    def enc(c: Config, ds: Double): Array[Double] = OnlineTuner.encode(sim, c, ds, withDataSize)
     (0 until budget).foreach { it =>
       val c =
         if (it < init.size) init(it)

@@ -55,13 +55,23 @@ final class RunHistory extends Serializable {
   def size: Int = obs.size
   def nonEmpty: Boolean = obs.nonEmpty
 
+  /** The history best first; see [[RunHistory.ranked]]. */
+  def ranked: Vector[Observation] = RunHistory.ranked(obs)
+
   /** Best (lowest-objective) feasible observation, if any; otherwise the
-    * best overall (the controller still has to answer config requests). */
-  def best: Option[Observation] = {
-    val feas = obs.filter(_.feasible)
-    val pool = if (feas.nonEmpty) feas else obs
-    if (pool.isEmpty) None else Some(pool.minBy(_.objective))
-  }
+    * best overall (the controller still has to answer config requests).
+    * `None` only for an empty history. */
+  def best: Option[Observation] = ranked.headOption
 
   def bestObjective: Double = best.map(_.objective).getOrElse(Double.PositiveInfinity)
+}
+
+object RunHistory {
+  /** The incumbent rule as a ranking: the feasible observations by
+    * ascending objective, or all of them when none is feasible. The sort is
+    * stable, so ties keep run order. */
+  def ranked(obs: Vector[Observation]): Vector[Observation] = {
+    val feas = obs.filter(_.feasible)
+    (if (feas.nonEmpty) feas else obs).sortBy(_.objective)
+  }
 }

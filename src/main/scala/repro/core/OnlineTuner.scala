@@ -56,13 +56,8 @@ final class OnlineTuner(sim: SparkClusterSim,
   private val rng = new Random(settings.seed)
   private val safeRegion = new SafeRegion()
 
-  /** Unit-encode a config, appending the normalized data size when the
-    * datasize-aware surrogate is enabled (§3.3 Dynamic Workload Support). */
-  private def encode(c: Config, dsGB: Double): Array[Double] = {
-    val u = cs.toUnit(c)
-    if (settings.useDataSize) u :+ (dsGB / (2.0 * sim.spec.inputGB)).min(1.0).max(0.0)
-    else u
-  }
+  private def encode(c: Config, dsGB: Double): Array[Double] =
+    OnlineTuner.encode(sim, c, dsGB, settings.useDataSize)
 
   private def kernelOf(ls: Double) =
     MixedKernel.forSpace(cs, withDataSize = settings.useDataSize,
@@ -117,7 +112,7 @@ final class OnlineTuner(sim: SparkClusterSim,
           case Right(c) => c
           case Left(maxEi) => // stopping criterion fired
             stoppedAt = Some(it)
-            history.best.map(_.config).getOrElse(initConfigs.head)
+            history.best.get.config
         }
       if (stoppedAt.isEmpty) {
         val result = sim.run(config, globalIter)
@@ -154,10 +149,9 @@ final class OnlineTuner(sim: SparkClusterSim,
                          (metaBases.map(_._2) :+ wCur))
       }
 
-    val best = history.best.getOrElse(obs.minBy(_.objective))
+    val ranked = history.ranked
+    val best = ranked.head
     val yBestLog = math.log(best.objective.max(1e-9))
-    val dsExtra = if (settings.useDataSize)
-      Array((nextDs / (2.0 * sim.spec.inputGB)).min(1.0).max(0.0)) else Array.empty[Double]
 
     // --- AGD branch (every N_AGD iterations; Algorithm 2 lines 2–4) -----
     if (agdTurn) {
@@ -167,6 +161,8 @@ final class OnlineTuner(sim: SparkClusterSim,
           Pred(math.exp(p.mean), p.variance)
         }
       }
+      // The model inputs after the config dims: the data size, if used.
+      val dsExtra = encode(best.config, nextDs).drop(cs.dim)
       return Right(cs.clip(agd.step(best.config, rtForAgd, dsExtra)))
     }
 
@@ -175,11 +171,7 @@ final class OnlineTuner(sim: SparkClusterSim,
     // (not just the incumbent) as anchors avoids locking a pathological
     // pinned value in place for the rest of the session.
     val mix = settings.candidates
-    val anchors: Vector[Config] = {
-      val feas = obs.filter(_.feasible)
-      val pool = if (feas.nonEmpty) feas else obs
-      pool.sortBy(_.objective).map(_.config).distinct.take(mix.anchors)
-    }
+    val anchors: Vector[Config] = ranked.map(_.config).distinct.take(mix.anchors)
     def anchorAt(i: Int): Config = anchors(i % anchors.size)
     // TuRBO-style mixture inside the sub-space: uniform coverage of the
     // free dims plus local moves around the incumbents, with a global
@@ -239,4 +231,13 @@ final class OnlineTuner(sim: SparkClusterSim,
 object OnlineTuner {
   /** N_AGD (§4.3): every fifth run is an AGD step. */
   private val NAgd = 5
+
+  /** Model input of a run of `c` at data size `dsGB`: the unit encoding of
+    * `c`, followed, when `withDataSize` (§3.3 Dynamic Workload Support),
+    * by the data size as a fraction of twice the task's nominal input,
+    * clipped to [0,1]. */
+  def encode(sim: SparkClusterSim, c: Config, dsGB: Double, withDataSize: Boolean): Array[Double] = {
+    val u = sim.cs.toUnit(c)
+    if (withDataSize) u :+ (dsGB / (2.0 * sim.spec.inputGB)).min(1.0).max(0.0) else u
+  }
 }

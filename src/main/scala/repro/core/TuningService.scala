@@ -81,7 +81,7 @@ object TuningService {
     val underCpu = under.map(_.cpuUsageCoreH).sum / under.size
 
     // Post-tuning: best-found config applied to subsequent executions.
-    val best = hist.best.getOrElse(hist.all.minBy(_.objective))
+    val best = hist.best.get
     val postStart = Window + budget
     val post = (0 until Window).map(i => sim.run(best.config, postStart + i))
     val postRt = post.map(_.runtimeSec).sum / Window

@@ -40,14 +40,29 @@ final class SparkClusterSim(val spec: WorkloadSpec, val cs: ConfigSpace,
   /** Memory price coefficient in R(x) = E·(C + cMem·M) (§4.3). */
   val cMem: Double = 0.25
 
-  /** Deterministic runtime model at data size `ds` (no noise). */
-  def expectedRuntime(c: Config, ds: Double): Double = {
-    val e  = cs.value(c, SP.Instances)
+  import SparkClusterSim.Memory
+
+  /** Memory model of `c` at data size `ds` (see [[SparkClusterSim.Memory]]). */
+  private def memory(c: Config, ds: Double): Memory = {
     val cc = cs.value(c, SP.ExecCores)
     val m  = cs.value(c, SP.ExecMemory)
     val memFrac  = cs.value(c, SP.MemoryFraction)
     val storFrac = cs.value(c, SP.StorageFraction)
-    val par = if (spec.sql) cs.value(c, SP.ShufflePartitions) else cs.value(c, SP.Parallelism)
+    val usableGB = (m - 0.3).max(0.3)
+    val execMemPerTask = usableGB * memFrac * (1.0 - storFrac) / cc
+    val bytesPerShufTaskGB = ds * spec.shuffleFrac.max(0.05) / shuffleParallelism(c).max(1.0)
+    val needGB = (bytesPerShufTaskGB * spec.memPerGBTask).max(0.05)
+    Memory(usableGB, usableGB * memFrac * storFrac, needGB / execMemPerTask.max(1e-3))
+  }
+
+  private def shuffleParallelism(c: Config): Double =
+    if (spec.sql) cs.value(c, SP.ShufflePartitions) else cs.value(c, SP.Parallelism)
+
+  /** Deterministic runtime model at data size `ds` (no noise). */
+  def expectedRuntime(c: Config, ds: Double): Double = {
+    val e  = cs.value(c, SP.Instances)
+    val cc = cs.value(c, SP.ExecCores)
+    val memFrac  = cs.value(c, SP.MemoryFraction)
     val bufKB = cs.value(c, SP.ShuffleFileBuffer)
     val shufCompress = cs.choice(c, SP.ShuffleCompress) == "true"
     val spillCompress = cs.choice(c, SP.SpillCompress) == "true"
@@ -64,27 +79,22 @@ final class SparkClusterSim(val spec: WorkloadSpec, val cs: ConfigSpace,
     // Input stage partitioning is driven by maxPartitionBytes; shuffled
     // stages by parallelism/shuffle.partitions.
     val inputParts = math.ceil(ds * 1024.0 / maxPartMB).max(1.0)
-    val shufParts = par.max(1.0)
+    val shufParts = shuffleParallelism(c).max(1.0)
 
     // --- memory model -----------------------------------------------------
-    val usableGB = (m - 0.3).max(0.3)                       // JVM/overhead reserve
-    val execMemPerTask = usableGB * memFrac * (1.0 - storFrac) / cc
-    val storagePerExec = usableGB * memFrac * storFrac
-    val bytesPerShufTaskGB = ds * spec.shuffleFrac.max(0.05) / shufParts
-    val needGB = (bytesPerShufTaskGB * spec.memPerGBTask).max(0.05)
-    val pressure = needGB / execMemPerTask.max(1e-3)
-    val oom = pressure > 6.0
+    val mem = memory(c, ds)
+    val pressure = mem.pressure
     // Spill: gentle until 1×, then linear slow-down, capped.
     val spillFactor =
       if (pressure <= 1.0) 1.0
       else 1.0 + 0.35 * math.min(pressure - 1.0, 4.0) * (if (spillCompress) 0.85 else 1.0)
     // GC pressure when memory per core is low.
-    val memPerCore = usableGB / cc
+    val memPerCore = mem.usableGB / cc
     val gcFactor = 1.0 + 0.25 * math.max(0.0, 1.0 - memPerCore) / 1.0 +
       0.05 * math.max(0.0, 0.5 - memFrac)
     // Iterative cache fit (storage memory across the cluster).
     val cacheNeedGB = ds * spec.cachePerGB * (if (rddCompress) 0.6 else 1.0)
-    val cacheAvailGB = e * storagePerExec
+    val cacheAvailGB = e * mem.storagePerExec
     val cacheMiss =
       if (cacheNeedGB <= 1e-9) 0.0
       else (1.0 - (cacheAvailGB / cacheNeedGB).min(1.0))
@@ -169,22 +179,11 @@ final class SparkClusterSim(val spec: WorkloadSpec, val cs: ConfigSpace,
 
     val startup = 4.0 + 0.015 * e + 1.5 * math.log1p(e)
     val base = startup + body
-    if (oom) base * (2.5 + math.min(pressure, 10.0) * 0.2) else base
+    if (mem.oom) base * (2.5 + math.min(pressure, 10.0) * 0.2) else base
   }
 
   /** Whether configuration `c` OOMs at data size `ds` (deterministic). */
-  def fails(c: Config, ds: Double): Boolean = {
-    val cc = cs.value(c, SP.ExecCores)
-    val m  = cs.value(c, SP.ExecMemory)
-    val memFrac  = cs.value(c, SP.MemoryFraction)
-    val storFrac = cs.value(c, SP.StorageFraction)
-    val par = if (spec.sql) cs.value(c, SP.ShufflePartitions) else cs.value(c, SP.Parallelism)
-    val usableGB = (m - 0.3).max(0.3)
-    val execMemPerTask = usableGB * memFrac * (1.0 - storFrac) / cc
-    val bytesPerShufTaskGB = ds * spec.shuffleFrac.max(0.05) / par.max(1.0)
-    val needGB = (bytesPerShufTaskGB * spec.memPerGBTask).max(0.05)
-    needGB / execMemPerTask.max(1e-3) > 6.0
-  }
+  def fails(c: Config, ds: Double): Boolean = memory(c, ds).oom
 
   /** Resource function R(x) — white-box, analytic (§4.3). */
   def resource(c: Config): Double = {
@@ -220,6 +219,13 @@ final class SparkClusterSim(val spec: WorkloadSpec, val cs: ConfigSpace,
 }
 
 object SparkClusterSim {
+  /** Usable executor memory after the JVM/overhead reserve, its storage
+    * share, and the pressure of a shuffle task's working set on its
+    * execution memory (OOM above 6×). */
+  private final case class Memory(usableGB: Double, storagePerExec: Double, pressure: Double) {
+    def oom: Boolean = pressure > 6.0
+  }
+
   /** Scale `spec.cpuSecPerGB` so that the noise-free runtime of
     * `manual` at the nominal data size matches `targetRuntimeSec`.
     * Used to calibrate the eight Table-2 production tasks to the paper's

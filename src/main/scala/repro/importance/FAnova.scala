@@ -14,7 +14,9 @@ import repro.space.ConfigSpace
   *
   * Marginals are estimated by Monte-Carlo marginalization (grid over the
   * parameter × MC background samples) rather than exact tree marginals;
-  * at ≤30 dims and small histories this is accurate and linear-time.
+  * at ≤30 dims and small histories this is accurate and linear-time. A
+  * categorical's grid is its choices' unit encodings; a uniform background
+  * draw falls in each choice's cell with equal probability.
   */
 object FAnova {
 
@@ -24,7 +26,7 @@ object FAnova {
   }
 
   private def gridFor(cs: ConfigSpace, i: Int, nGrid: Int): Array[Double] =
-    if (cs.isCat(i)) Array.tabulate(cs.cardinality(i))(c => (c + 0.5) / cs.cardinality(i))
+    if (cs.isCat(i)) Array.tabulate(cs.cardinality(i))(cs.choiceUnit(i, _))
     else Array.tabulate(nGrid)(g => (g + 0.5) / nGrid)
 
   /** Compute importances from history (configs, objective values).

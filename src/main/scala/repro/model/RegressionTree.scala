@@ -6,8 +6,9 @@ import scala.util.Random
   *
   * Used as the base learner for [[RandomForest]] (fANOVA surrogate, RFHOC,
   * DAC) and [[Gbdt]] (the LightGBM stand-in for similarity learning).
-  * Categorical inputs are handled upstream as ordinal indices — adequate
-  * for low-cardinality Spark parameters.
+  * Categorical inputs arrive as their choices' cell centres in [0,1]
+  * (`ConfigSpace.toUnit`), so a split separates the choices in index
+  * order — adequate for low-cardinality Spark parameters.
   */
 final class RegressionTree private (
     val feature: Int, val threshold: Double,

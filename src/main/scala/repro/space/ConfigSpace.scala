@@ -37,9 +37,12 @@ final case class Config(values: Vector[Double]) {
 
 /** The Cartesian search space Λ = Λ¹ × … × Λᴺ over Spark parameters.
   *
-  * Provides the unit-cube encoding used by all surrogate models: numeric
-  * dimensions map to [0,1] (optionally log-scaled), categorical dimensions
-  * keep their index (kernels treat them through Hamming distance).
+  * Owns the unit-cube encoding read by every model (GP kernel, forests,
+  * fANOVA, task distance): numeric dimensions map to [0,1] (optionally
+  * log-scaled); choice `i` of a categorical with `n` choices maps to the
+  * centre `(i + 0.5) / n` of the `i`-th of `n` equal cells, and any unit
+  * value decodes to the cell it falls in. No other module reads category
+  * indices out of an encoded vector.
   */
 final class ConfigSpace(val params: Vector[Param]) extends Serializable {
   val dim: Int = params.size
@@ -85,7 +88,10 @@ final class ConfigSpace(val params: Vector[Param]) extends Serializable {
   def clip(c: Config): Config =
     Config(Vector.tabulate(dim)(i => clipDim(i, c(i))))
 
-  /** Encode to the unit cube: numeric → [0,1] (log-aware), cat → index. */
+  /** Unit encoding of choice `k` of categorical dim `i`: its cell centre. */
+  def choiceUnit(i: Int, k: Int): Double = (k + 0.5) / cardinality(i)
+
+  /** Encode to the unit cube: numeric → [0,1] (log-aware), cat → cell centre. */
   def toUnit(c: Config): Array[Double] = {
     val out = new Array[Double](dim)
     var i = 0
@@ -93,7 +99,7 @@ final class ConfigSpace(val params: Vector[Param]) extends Serializable {
       out(i) = params(i) match {
         case IntParam(_, lo, hi, log)    => unitOf(c(i), lo.toDouble, hi.toDouble, log)
         case DoubleParam(_, lo, hi, log) => unitOf(c(i), lo, hi, log)
-        case CatParam(_, _)              => c(i)
+        case CatParam(_, _)              => choiceUnit(i, c(i).toInt)
       }
       i += 1
     }
@@ -110,9 +116,7 @@ final class ConfigSpace(val params: Vector[Param]) extends Serializable {
         case DoubleParam(_, lo, hi, log) =>
           rawOf(u(i), lo, hi, log).max(lo).min(hi)
         case CatParam(_, cs) =>
-          // A unit draw in [0,1) selects a category uniformly.
-          val v = if (u(i) >= 0.0 && u(i) < 1.0) math.floor(u(i) * cs.size) else math.rint(u(i))
-          v.max(0).min((cs.size - 1).toDouble)
+          math.floor(u(i) * cs.size).max(0).min((cs.size - 1).toDouble)
       }
     })
   }
@@ -139,59 +143,34 @@ final class ConfigSpace(val params: Vector[Param]) extends Serializable {
   def sampleLowDiscrepancy(n: Int, seed: Long = 0L): Vector[Config] =
     LowDiscrepancy.halton(n, dim, seed).map(fromUnit)
 
-  /** Gaussian perturbation of `c` in unit space (local-search moves).
-    * Categorical dims resample with probability `pCat`. */
-  def perturb(c: Config, rng: Random, sigma: Double = 0.1, pCat: Double = 0.2): Config = {
-    val u = toUnit(c)
-    val out = new Array[Double](dim)
-    var i = 0
-    while (i < dim) {
-      out(i) = params(i) match {
-        case CatParam(_, cs) =>
-          if (rng.nextDouble() < pCat) rng.nextInt(cs.size).toDouble else u(i)
-        case _ => (u(i) + rng.nextGaussian() * sigma).max(0.0).min(1.0)
-      }
-      i += 1
-    }
-    fromUnit(out)
-  }
-
   /** Perturb only the dims in `free`, pinning the rest to `anchor` —
-    * TuRBO-style local exploration inside the sub-space. */
+    * TuRBO-style local exploration inside the sub-space. Numeric dims take
+    * a Gaussian step of `sigma` in unit space; categorical dims resample
+    * with probability `pCat`. */
   def perturbInSubspace(anchor: Config, free: Set[Int], rng: Random,
                         sigma: Double = 0.2, pCat: Double = 0.25): Config = {
-    val u = toUnit(anchor)
-    val out = u.clone()
+    val out = toUnit(anchor)
     free.foreach { i =>
       out(i) = params(i) match {
         case CatParam(_, cs) =>
-          if (rng.nextDouble() < pCat) rng.nextInt(cs.size).toDouble else u(i)
-        case _ => (u(i) + rng.nextGaussian() * sigma).max(0.0).min(1.0)
+          if (rng.nextDouble() < pCat) choiceUnit(i, rng.nextInt(cs.size)) else out(i)
+        case _ => (out(i) + rng.nextGaussian() * sigma).max(0.0).min(1.0)
       }
     }
-    val cfg = fromUnit(out)
-    Config(Vector.tabulate(dim) { i =>
-      if (isCat(i)) (if (free.contains(i)) cfg(i) else anchor(i)) else cfg(i)
-    })
+    fromUnit(out)
   }
 
   /** Restrict sampling to a sub-space: dims in `free` vary, the rest are
     * pinned to `anchor`'s values (Eq. 5 sub-space with an anchor point). */
   def sampleInSubspace(anchor: Config, free: Set[Int], rng: Random): Config = {
-    val u = toUnit(anchor)
-    val out = u.clone()
+    val out = toUnit(anchor)
     free.foreach { i =>
       out(i) = params(i) match {
-        case CatParam(_, cs) => rng.nextInt(cs.size).toDouble
+        case CatParam(_, cs) => choiceUnit(i, rng.nextInt(cs.size))
         case _               => rng.nextDouble()
       }
     }
-    // Categorical anchor dims carry raw indices already; fromUnit expects
-    // unit-cube draws for cats, so re-inject anchor categories directly.
-    val cfg = fromUnit(out)
-    Config(Vector.tabulate(dim) { i =>
-      if (!free.contains(i) && isCat(i)) anchor(i) else cfg(i)
-    })
+    fromUnit(out)
   }
 }
 

@@ -46,7 +46,9 @@ final class SqExp(dims: Array[Int], lengthscale: Double) extends Kernel {
 }
 
 /** Hamming kernel over categorical dimensions:
-  * k = exp(−(#mismatches)/ℓ). Equal categories ⇒ 1.
+  * k = exp(−(#mismatches)/ℓ). Equal categories ⇒ 1. Each category has one
+  * unit encoding (`ConfigSpace.toUnit`), so equal values mean equal
+  * categories.
   */
 final class Hamming(dims: Array[Int], lengthscale: Double) extends Kernel {
   require(lengthscale > 0)
@@ -55,7 +57,7 @@ final class Hamming(dims: Array[Int], lengthscale: Double) extends Kernel {
     var mis = 0
     var i = 0
     while (i < dims.length) {
-      if (math.rint(x(dims(i))) != math.rint(y(dims(i)))) mis += 1
+      if (x(dims(i)) != y(dims(i))) mis += 1
       i += 1
     }
     math.exp(-mis / lengthscale)

@@ -7,7 +7,8 @@ import repro.space.{ConfigSpace, DoubleParam, CatParam, Config}
 class FAnovaSpec extends AnyFunSuite {
   private val cs = new ConfigSpace(Vector(
     DoubleParam("a", 0.0, 1.0), DoubleParam("b", 0.0, 1.0),
-    DoubleParam("c", 0.0, 1.0), CatParam("d", Vector("x", "y"))))
+    DoubleParam("c", 0.0, 1.0), CatParam("d", Vector("x", "y")),
+    CatParam("e", Vector("x", "y", "z"))))
 
   private def history(f: Config => Double, n: Int = 150, seed: Int = 1) = {
     val r = new Random(seed)
@@ -34,6 +35,10 @@ class FAnovaSpec extends AnyFunSuite {
     val (xs, ys) = history(c => if (c(3) < 0.5) 0.0 else 4.0)
     val res = FAnova.importance(cs, xs, ys, nMc = 150, seed = 4)
     assert(res.ranking.head == 3)
+    // An effect only on the third choice of a 3-choice categorical.
+    val (xs3, ys3) = history(c => if (c(4) == 2.0) 4.0 else 0.0)
+    val res3 = FAnova.importance(cs, xs3, ys3, nMc = 150, seed = 4)
+    assert(res3.ranking.head == 4, s"importances ${res3.single}")
   }
 
   test("constant objective yields all-zero importances") {

@@ -37,6 +37,17 @@ class TaskSimilaritySpec extends AnyFunSuite {
     assert(surrogateDistance(cs, a, b, nSample = 50) == 1.0)
   }
 
+  test("surrogate distance probes the unit encodings of legal configs, every codec choice") {
+    val probes = Vector.newBuilder[Array[Double]]
+    val recording: Surrogate = x => { probes += x; Pred(x.sum, 1.0) }
+    surrogateDistance(cs, recording, recording, nSample = 60)
+    val xs = probes.result()
+    assert(xs.size == 120)
+    xs.foreach(x => assert(cs.toUnit(cs.fromUnit(x)) sameElements x, x.mkString(",")))
+    assert(xs.map(x => cs.choice(cs.fromUnit(x), SparkParams.IoCodec)).toSet ==
+      Set("lz4", "snappy", "zstd"))
+  }
+
   test("pairFeatures is symmetric in its arguments") {
     val v1 = Array(0.1, 0.9); val v2 = Array(0.4, 0.2)
     assert(pairFeatures(v1, v2).toSeq == pairFeatures(v2, v1).toSeq)
