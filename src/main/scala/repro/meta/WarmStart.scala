@@ -19,7 +19,7 @@ object SourceTask {
     val xs = history.map(o => cs.toUnit(o.config)).toArray
     val ys = history.map(o => math.log(o.objective.max(1e-9))).toArray
     val gp = Gp.fit(xs, ys, ls => MixedKernel.forSpace(cs, withDataSize = false,
-      numLs = 0.5 * ls, catLs = ls, amplitude = 1.0))
+      numLs = 0.5 * ls, catLs = ls, dsLs = 0.5 * ls))
     SourceTask(name, metaFeatures, history, gp)
   }
 }

@@ -7,17 +7,36 @@ trait Kernel extends Serializable {
   def apply(x: Array[Double], y: Array[Double]): Double
 }
 
-/** Matérn-5/2 over a subset of (numeric) dimensions with a shared
-  * lengthscale: k(r) = (1 + √5·r + 5r²/3)·exp(−√5·r).
+/** The paper's mixed kernel (§3.3, Eq. 4), the product of
+  *
+  *  - Matérn-5/2 over the numeric dims with a shared lengthscale:
+  *    (1 + √5·r + 5r²/3)·exp(−√5·r), r = ‖x − y‖/ℓ_num;
+  *  - Hamming over the categorical dims: exp(−m/ℓ_cat) for m mismatching
+  *    dims. Each category has one unit encoding (`ConfigSpace.toUnit`), so
+  *    equal values mean equal categories;
+  *  - squared-exponential over the data-size dim, if any (§3.3 Dynamic
+  *    Workload Support): exp(−d²/2ℓ_ds²).
   */
-final class Matern52(dims: Array[Int], lengthscale: Double) extends Kernel {
-  require(lengthscale > 0)
+final class MixedKernel private (numDims: Array[Int], catDims: Array[Int], dsDim: Option[Int],
+                                 numLs: Double, catLs: Double, dsLs: Double) extends Kernel {
+  require(numLs > 0 && catLs > 0 && dsLs > 0)
+
   def apply(x: Array[Double], y: Array[Double]): Double = {
-    if (dims.isEmpty) return 1.0
+    val k = matern(x, y) * hamming(x, y)
+    dsDim match {
+      case Some(i) =>
+        val d = (x(i) - y(i)) / dsLs
+        k * math.exp(-0.5 * (d * d))
+      case None => k
+    }
+  }
+
+  private def matern(x: Array[Double], y: Array[Double]): Double = {
+    if (numDims.isEmpty) return 1.0
     var s = 0.0
     var i = 0
-    while (i < dims.length) {
-      val d = (x(dims(i)) - y(dims(i))) / lengthscale
+    while (i < numDims.length) {
+      val d = (x(numDims(i)) - y(numDims(i))) / numLs
       s += d * d
       i += 1
     }
@@ -25,55 +44,16 @@ final class Matern52(dims: Array[Int], lengthscale: Double) extends Kernel {
     val a = math.sqrt(5.0) * r
     (1.0 + a + (5.0 / 3.0) * s) * math.exp(-a)
   }
-}
 
-/** Squared-exponential (SE/RBF) over a subset of dimensions — used for the
-  * data-size dimension in the mixed kernel (§3.3 Dynamic Workload Support).
-  */
-final class SqExp(dims: Array[Int], lengthscale: Double) extends Kernel {
-  require(lengthscale > 0)
-  def apply(x: Array[Double], y: Array[Double]): Double = {
-    if (dims.isEmpty) return 1.0
-    var s = 0.0
-    var i = 0
-    while (i < dims.length) {
-      val d = (x(dims(i)) - y(dims(i))) / lengthscale
-      s += d * d
-      i += 1
-    }
-    math.exp(-0.5 * s)
-  }
-}
-
-/** Hamming kernel over categorical dimensions:
-  * k = exp(−(#mismatches)/ℓ). Equal categories ⇒ 1. Each category has one
-  * unit encoding (`ConfigSpace.toUnit`), so equal values mean equal
-  * categories.
-  */
-final class Hamming(dims: Array[Int], lengthscale: Double) extends Kernel {
-  require(lengthscale > 0)
-  def apply(x: Array[Double], y: Array[Double]): Double = {
-    if (dims.isEmpty) return 1.0
+  private def hamming(x: Array[Double], y: Array[Double]): Double = {
+    if (catDims.isEmpty) return 1.0
     var mis = 0
     var i = 0
-    while (i < dims.length) {
-      if (x(dims(i)) != y(dims(i))) mis += 1
+    while (i < catDims.length) {
+      if (x(catDims(i)) != y(catDims(i))) mis += 1
       i += 1
     }
-    math.exp(-mis / lengthscale)
-  }
-}
-
-/** Product of component kernels with an output variance amplitude —
-  * the paper's mixed kernel: Matérn (numeric) × Hamming (categorical)
-  * × SE (data size). Eq. 4.
-  */
-final class MixedKernel(components: Vector[Kernel], amplitude: Double = 1.0) extends Kernel {
-  def apply(x: Array[Double], y: Array[Double]): Double = {
-    var k = amplitude
-    var i = 0
-    while (i < components.size) { k *= components(i)(x, y); i += 1 }
-    k
+    math.exp(-mis / catLs)
   }
 }
 
@@ -86,14 +66,8 @@ object MixedKernel {
     * @param dsLs   SE lengthscale on the data-size dim
     */
   def forSpace(cs: ConfigSpace, withDataSize: Boolean,
-               numLs: Double = 0.5, catLs: Double = 1.0, dsLs: Double = 0.5,
-               amplitude: Double = 1.0): MixedKernel = {
-    val numDims = (0 until cs.dim).filterNot(cs.isCat).toArray
-    val catDims = (0 until cs.dim).filter(cs.isCat).toArray
-    val comps = Vector.newBuilder[Kernel]
-    comps += new Matern52(numDims, numLs)
-    comps += new Hamming(catDims, catLs)
-    if (withDataSize) comps += new SqExp(Array(cs.dim), dsLs)
-    new MixedKernel(comps.result(), amplitude)
-  }
+               numLs: Double, catLs: Double, dsLs: Double): MixedKernel =
+    new MixedKernel((0 until cs.dim).filterNot(cs.isCat).toArray,
+      (0 until cs.dim).filter(cs.isCat).toArray,
+      if (withDataSize) Some(cs.dim) else None, numLs, catLs, dsLs)
 }

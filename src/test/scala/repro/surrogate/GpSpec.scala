@@ -5,7 +5,12 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.space.SparkParams
 
 class GpSpec extends AnyFunSuite {
-  private def kOf(ls: Double): Kernel = new Matern52(Array(0), 0.5 * ls)
+  /** 1-d Matérn-5/2 with lengthscale 0.5·ℓ: a stand-in for the mixed kernel
+    * on one numeric dim. */
+  private def kOf(ls: Double): Kernel = (x, y) => {
+    val r = math.abs(x(0) - y(0)) / (0.5 * ls)
+    (1.0 + math.sqrt(5.0) * r + 5.0 * r * r / 3.0) * math.exp(-math.sqrt(5.0) * r)
+  }
 
   private def fit1d(xs: Seq[Double], ys: Seq[Double], noise: Double = 1e-6): Gp =
     Gp.fit(xs.map(Array(_)).toArray, ys.toArray, kOf, noise)
@@ -60,7 +65,7 @@ class GpSpec extends AnyFunSuite {
 
   test("degenerate histories give finite predictions: n = 1, constant targets on duplicates") {
     val cs = SparkParams.space()
-    def kernel(ls: Double): Kernel = MixedKernel.forSpace(cs, withDataSize = false, numLs = 0.5 * ls, catLs = ls)
+    def kernel(ls: Double): Kernel = MixedKernel.forSpace(cs, withDataSize = false, numLs = 0.5 * ls, catLs = ls, dsLs = 0.5 * ls)
     val x = cs.toUnit(SparkParams.defaults(cs))
     val probes = Seq(x, cs.toUnit(cs.sampleRandom(new Random(1))))
     Seq(Array(x) -> Array(0.0), Array.fill(5)(x) -> Array.fill(5)(3.0)).foreach { case (xs, ys) =>
