@@ -29,16 +29,20 @@ private object BaselineUtil {
     o
   }
 
+  private val Generations = 8
+  private val PopSize = 40
+
   /** Simple generational GA over unit space searching `fitness` (lower is
-    * better) — the search engine of RFHOC [7] and DAC [79]. */
+    * better) — the search engine of RFHOC [7] and DAC [79]: `Generations`
+    * rounds over a population of `PopSize`, keeping the best quarter. */
   def gaSearch(cs: ConfigSpace, seedPop: Vector[Config], fitness: Config => Double,
-               rng: Random, generations: Int = 8, popSize: Int = 40): Config = {
-    var pop = (seedPop ++ cs.sampleRandom(rng, popSize)).take(popSize)
+               rng: Random): Config = {
+    var pop = (seedPop ++ cs.sampleRandom(rng, PopSize)).take(PopSize)
     var g = 0
-    while (g < generations) {
+    while (g < Generations) {
       val scored = pop.map(c => (c, fitness(c))).sortBy(_._2)
-      val elite = scored.take(popSize / 4).map(_._1)
-      val children = Vector.fill(popSize - elite.size) {
+      val elite = scored.take(PopSize / 4).map(_._1)
+      val children = Vector.fill(PopSize - elite.size) {
         val a = cs.toUnit(elite(rng.nextInt(elite.size)))
         val b = cs.toUnit(elite(rng.nextInt(elite.size)))
         val x = Array.tabulate(cs.dim)(i => if (rng.nextBoolean()) a(i) else b(i))

@@ -16,13 +16,12 @@ import repro.surrogate.Surrogate
   *
   * Differences and updates are taken in the unit cube so one learning rate
   * serves parameters of wildly different raw scales; steps are clipped to
-  * `maxStep` per dimension to keep single AGD moves sane. Categorical
+  * `MaxStep` per dimension to keep single AGD moves sane. Categorical
   * dimensions are left untouched (the paper differentiates numerical
   * parameters only).
   */
-final class Agd(cs: ConfigSpace, beta: Double,
-                resourceOf: Config => Double,
-                eta: Double = 0.001, eps: Double = 0.05, maxStep: Double = 0.05) {
+final class Agd(cs: ConfigSpace, beta: Double, resourceOf: Config => Double) {
+  import Agd.{Eps, Eta, MaxStep}
 
   /** One AGD step from `best`.
     *
@@ -45,19 +44,27 @@ final class Agd(cs: ConfigSpace, beta: Double,
     var i = 0
     while (i < cs.dim) {
       if (!cs.isCat(i)) {
-        val up = u.clone(); up(i) = (u(i) + eps).min(1.0)
-        val dn = u.clone(); dn(i) = (u(i) - eps).max(0.0)
+        val up = u.clone(); up(i) = (u(i) + Eps).min(1.0)
+        val dn = u.clone(); dn(i) = (u(i) - Eps).max(0.0)
         val h = (up(i) - dn(i)).max(1e-9)
         val dT = (tAt(up) - tAt(dn)) / h           // Eq. 10
         val dR = (rAt(up) - rAt(dn)) / h
         val grad = beta * math.pow(ratio, beta - 1.0) * dT +
           (1.0 - beta) * math.pow(ratio, beta) * dR // Eq. 9
-        val stepRaw = eta * grad                    // Eq. 11
-        val step = math.signum(stepRaw) * math.min(math.abs(stepRaw), maxStep)
+        val stepRaw = Eta * grad                    // Eq. 11
+        val step = math.signum(stepRaw) * math.min(math.abs(stepRaw), MaxStep)
         out(i) = (u(i) - step).max(0.0).min(1.0)
       }
       i += 1
     }
     cs.fromUnit(out)
   }
+}
+
+object Agd {
+  /** Learning rate η (§4.3), central-difference half-width and per-dim
+    * step clip, all in unit space. */
+  private val Eta = 0.001
+  private val Eps = 0.05
+  private val MaxStep = 0.05
 }

@@ -111,8 +111,7 @@ object TuningService {
       val hist = session(task, budget, TunerSettings(), Vector.empty).history
       SourceTask.fromHistory(cs, task.name, MetaFeatures.fromSpec(task.spec), hist.all)
     }
-    val model = TaskSimilarity.train(cs, sources.map(s => (s.metaFeatures, s.surrogate)),
-      nSample = 120, seed = seed)
+    val model = TaskSimilarity.train(cs, sources.map(s => (s.metaFeatures, s.surrogate)), seed = seed)
     (model, sources)
   }
 

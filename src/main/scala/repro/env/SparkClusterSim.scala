@@ -34,13 +34,12 @@ final case class RunResult(
   *
   * All draws are seeded by (spec.seed, iter) so runs are reproducible.
   */
-final class SparkClusterSim(val spec: WorkloadSpec, val cs: ConfigSpace,
-                            noiseSigma: Double = 0.04) extends Serializable {
+final class SparkClusterSim(val spec: WorkloadSpec, val cs: ConfigSpace) extends Serializable {
 
   /** Memory price coefficient in R(x) = E·(C + cMem·M) (§4.3). */
   val cMem: Double = 0.25
 
-  import SparkClusterSim.Memory
+  import SparkClusterSim.{Memory, NoiseSigma}
 
   /** Memory model of `c` at data size `ds` (see [[SparkClusterSim.Memory]]). */
   private def memory(c: Config, ds: Double): Memory = {
@@ -203,7 +202,7 @@ final class SparkClusterSim(val spec: WorkloadSpec, val cs: ConfigSpace,
   /** Execute at an explicit data size (used by tests and warm-start evals). */
   def runAt(c: Config, ds: Double, iter: Int): RunResult = {
     val rng = new Random(spec.seed * 1000003 + iter * 131 + c.values.hashCode())
-    val noise = math.exp(noiseSigma * rng.nextGaussian())
+    val noise = math.exp(NoiseSigma * rng.nextGaussian())
     val t = expectedRuntime(c, ds) * noise
     val e = cs.value(c, SP.Instances)
     val cc = cs.value(c, SP.ExecCores)
@@ -219,6 +218,9 @@ final class SparkClusterSim(val spec: WorkloadSpec, val cs: ConfigSpace,
 }
 
 object SparkClusterSim {
+  /** σ of the multiplicative log-normal runtime noise. */
+  private val NoiseSigma = 0.04
+
   /** Usable executor memory after the JVM/overhead reserve, its storage
     * share, and the pressure of a shuffle task's working set on its
     * execution memory (OOM above 6×). */
@@ -229,13 +231,13 @@ object SparkClusterSim {
   /** Scale `spec.cpuSecPerGB` so that the noise-free runtime of
     * `manual` at the nominal data size matches `targetRuntimeSec`.
     * Used to calibrate the eight Table-2 production tasks to the paper's
-    * manual rows. Fixed-point iteration; converges in a few steps because
-    * runtime is monotone in the compute scale. */
+    * manual rows. Six fixed-point iterations; it converges in a few steps
+    * because runtime is monotone in the compute scale. */
   def calibrate(spec: WorkloadSpec, cs: ConfigSpace, manual: Config,
-                targetRuntimeSec: Double, steps: Int = 6): WorkloadSpec = {
+                targetRuntimeSec: Double): WorkloadSpec = {
     var s = spec
     var i = 0
-    while (i < steps) {
+    while (i < 6) {
       val sim = new SparkClusterSim(s, cs)
       val t = sim.expectedRuntime(manual, s.inputGB)
       val ratio = (targetRuntimeSec / t).max(0.05).min(20.0)

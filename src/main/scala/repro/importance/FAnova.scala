@@ -40,7 +40,7 @@ object FAnova {
                  seed: Long = 0L): Result = {
     require(configs.size == ys.size && configs.nonEmpty, "empty history")
     val xs = configs.map(cs.toUnit).toArray
-    val rf = RandomForest.fit(xs, ys.toArray, nTrees = 24, maxDepth = 8, seed = seed)
+    val rf = RandomForest.fit(xs, ys.toArray, nTrees = 24, seed = seed)
     val rng = new Random(seed)
     val bg = Array.fill(nMc)(Array.fill(cs.dim)(rng.nextDouble()))
 

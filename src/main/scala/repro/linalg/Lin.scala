@@ -6,16 +6,18 @@ package repro.linalg
   * written for clarity over speed; GP fits here never exceed ~100×100.
   */
 object Lin {
+  private val MaxTries = 8
 
   /** Cholesky factor L (lower-triangular) of SPD matrix `a`, with jitter
-    * escalation: if the factorization fails, `jitter` is multiplied by 10
-    * and retried up to `maxTries` times. Returns (L, usedJitter).
+    * escalation: a diagonal jitter of 1e-10 is added, and if the
+    * factorization fails it is multiplied by 10 and retried, up to
+    * `MaxTries` times. Returns (L, usedJitter).
     */
-  def cholesky(a: Array[Array[Double]], jitter: Double = 1e-10, maxTries: Int = 8): (Array[Array[Double]], Double) = {
+  def cholesky(a: Array[Array[Double]]): (Array[Array[Double]], Double) = {
     val n = a.length
-    var j = jitter
+    var j = 1e-10
     var tries = 0
-    while (tries < maxTries) {
+    while (tries < MaxTries) {
       val l = Array.ofDim[Double](n, n)
       var ok = true
       var i = 0
@@ -38,7 +40,7 @@ object Lin {
       if (ok) return (l, j)
       j *= 10; tries += 1
     }
-    throw new ArithmeticException(s"cholesky failed after $maxTries jitter escalations")
+    throw new ArithmeticException(s"cholesky failed after $MaxTries jitter escalations")
   }
 
   /** Solve L y = b for lower-triangular L. */

@@ -38,12 +38,14 @@ object TaskSimilarity {
     (conc - disc).toDouble / n
   }
 
-  /** Distance of two surrogates via ranking disagreement on `nSample`
+  /** Random configurations on which two surrogates' rankings are compared. */
+  private val NSample = 120
+
+  /** Distance of two surrogates via ranking disagreement on `NSample`
     * random configs (§5.1), given to both in their unit encoding. */
-  def surrogateDistance(cs: ConfigSpace, mi: Surrogate, mj: Surrogate,
-                        nSample: Int = 200, seed: Long = 0L): Double = {
+  def surrogateDistance(cs: ConfigSpace, mi: Surrogate, mj: Surrogate, seed: Long = 0L): Double = {
     val rng = new Random(seed)
-    val xs = Array.fill(nSample)(cs.toUnit(cs.sampleRandom(rng)))
+    val xs = Array.fill(NSample)(cs.toUnit(cs.sampleRandom(rng)))
     val pi = xs.map(mi.predict(_).mean).toSeq
     val pj = xs.map(mj.predict(_).mean).toSeq
     (1.0 - kendallTau(pi, pj)) / 2.0
@@ -74,16 +76,16 @@ object TaskSimilarity {
     * every unordered task pair contributes one training row, labeled by
     * the Kendall-tau surrogate distance. */
   def train(cs: ConfigSpace, tasks: Seq[(Array[Double], Surrogate)],
-            nSample: Int = 150, seed: Long = 0L): DistanceModel = {
+            seed: Long = 0L): DistanceModel = {
     require(tasks.size >= 2, "need >=2 source tasks")
     val rows = for {
       i <- tasks.indices; j <- tasks.indices if i != j
     } yield {
-      val d = surrogateDistance(cs, tasks(i)._2, tasks(j)._2, nSample, seed + i * 31 + j)
+      val d = surrogateDistance(cs, tasks(i)._2, tasks(j)._2, seed + i * 31 + j)
       (pairFeatures(tasks(i)._1, tasks(j)._1), d)
     }
     val xs = rows.map(_._1).toArray
     val ys = rows.map(_._2).toArray
-    new DistanceModel(Gbdt.fit(xs, ys, nTrees = 60, maxDepth = 3, lr = 0.1, seed = seed))
+    new DistanceModel(Gbdt.fit(xs, ys, nTrees = 60, maxDepth = 3, seed = seed))
   }
 }

@@ -27,25 +27,28 @@ object SourceTask {
 /** Warm-starting and meta-surrogate assembly (§5.2). */
 object WarmStart {
 
+  /** Number of most similar source tasks used (§5.2: "top-3 tasks"). */
+  private val Top = 3
+
   /** Rank source tasks by learned similarity to the target's meta-features
-    * and return the `top` most similar. */
+    * and return the `Top` most similar with their distances. */
   def similarSources(model: DistanceModel, targetMeta: Array[Double],
-                     sources: Seq[SourceTask], top: Int = 3): Seq[(SourceTask, Double)] =
+                     sources: Seq[SourceTask]): Seq[(SourceTask, Double)] =
     sources.map(s => (s, model.distance(targetMeta, s.metaFeatures)))
-      .sortBy(_._2).take(top)
+      .sortBy(_._2).take(Top)
 
   /** Initial configurations for the target task: the best configuration
     * found in each of the top-3 most similar source tasks ("select the
     * best Spark configuration found in these top-3 tasks"). */
   def initialConfigs(model: DistanceModel, targetMeta: Array[Double],
-                     sources: Seq[SourceTask], top: Int = 3): Vector[Config] =
-    similarSources(model, targetMeta, sources, top)
+                     sources: Seq[SourceTask]): Vector[Config] =
+    similarSources(model, targetMeta, sources)
       .flatMap { case (s, _) => RunHistory.ranked(s.history).headOption.map(_.config) }.toVector
 
   /** Base surrogates + similarity weights wᵢ = 1 − Dist(Mⁱ, Mᵗ) for the
     * ensemble of Eq. 12 (normalization happens inside MetaEnsemble). */
   def ensembleBases(model: DistanceModel, targetMeta: Array[Double],
-                    sources: Seq[SourceTask], top: Int = 3): Vector[(Surrogate, Double)] =
-    similarSources(model, targetMeta, sources, top)
+                    sources: Seq[SourceTask]): Vector[(Surrogate, Double)] =
+    similarSources(model, targetMeta, sources)
       .map { case (s, d) => (s.surrogate, 1.0 - d) }.toVector
 }

@@ -108,16 +108,18 @@ final class RandomForest(val trees: Vector[RegressionTree]) extends Serializable
 }
 
 object RandomForest {
+  private val MaxDepth = 8
+  private val MinLeaf = 2
+
   def fit(xs: Array[Array[Double]], ys: Array[Double],
-          nTrees: Int = 32, maxDepth: Int = 8, minLeaf: Int = 2,
-          seed: Long = 0L): RandomForest = {
+          nTrees: Int = 32, seed: Long = 0L): RandomForest = {
     require(xs.nonEmpty, "empty training set")
     val rng = new Random(seed)
     val nFeat = xs(0).length
     val mtry = math.max(1, (nFeat / 3.0).round.toInt)
     val trees = Vector.fill(nTrees) {
       val boot = Array.fill(xs.length)(rng.nextInt(xs.length))
-      RegressionTree.fit(xs, ys, maxDepth, minLeaf, mtry, rng, boot)
+      RegressionTree.fit(xs, ys, MaxDepth, MinLeaf, mtry, rng, boot)
     }
     new RandomForest(trees)
   }
@@ -126,18 +128,21 @@ object RandomForest {
 /** Gradient-boosted regression trees with squared loss and shrinkage —
   * the stand-in for the paper's LightGBM similarity regressor (§5.1).
   */
-final class Gbdt(val base: Double, val trees: Vector[RegressionTree], val lr: Double) extends Serializable {
+final class Gbdt(val base: Double, val trees: Vector[RegressionTree]) extends Serializable {
   def predict(x: Array[Double]): Double = {
     var p = base; var i = 0
-    while (i < trees.size) { p += lr * trees(i).predict(x); i += 1 }
+    while (i < trees.size) { p += Gbdt.Lr * trees(i).predict(x); i += 1 }
     p
   }
 }
 
 object Gbdt {
+  /** Shrinkage (learning rate) and minimum leaf size of every boosted tree. */
+  private val Lr = 0.1
+  private val MinLeaf = 3
+
   def fit(xs: Array[Array[Double]], ys: Array[Double],
-          nTrees: Int = 80, maxDepth: Int = 4, lr: Double = 0.1,
-          minLeaf: Int = 3, seed: Long = 0L): Gbdt = {
+          nTrees: Int = 80, maxDepth: Int = 4, seed: Long = 0L): Gbdt = {
     require(xs.nonEmpty, "empty training set")
     val rng = new Random(seed)
     val base = ys.sum / ys.length
@@ -145,12 +150,12 @@ object Gbdt {
     val trees = Vector.newBuilder[RegressionTree]
     var t = 0
     while (t < nTrees) {
-      val tree = RegressionTree.fit(xs, resid.clone(), maxDepth, minLeaf, -1, rng)
+      val tree = RegressionTree.fit(xs, resid.clone(), maxDepth, MinLeaf, -1, rng)
       var i = 0
-      while (i < resid.length) { resid(i) -= lr * tree.predict(xs(i)); i += 1 }
+      while (i < resid.length) { resid(i) -= Lr * tree.predict(xs(i)); i += 1 }
       trees += tree
       t += 1
     }
-    new Gbdt(base, trees.result(), lr)
+    new Gbdt(base, trees.result())
   }
 }

@@ -20,13 +20,11 @@ class AgdSpec extends AnyFunSuite {
     def predict(x: Array[Double]): Pred = Pred(1100.0 - 1000.0 * x(iInst), 1.0)
   }
 
-  private def mid: Config = {
-    val u = Array.fill(cs.dim)(0.5)
-    cs.fromUnit(u)
-  }
+  private def at(u: Double): Config = cs.fromUnit(Array.fill(cs.dim)(u))
+  private def mid: Config = at(0.5)
 
   test("AGD with β=1 moves against the runtime gradient") {
-    val agd = new Agd(cs, beta = 1.0, resourceOf = _ => 10.0, eta = 0.001)
+    val agd = new Agd(cs, beta = 1.0, resourceOf = _ => 10.0)
     val c1 = agd.step(mid, upInInstances, Array.empty)
     assert(cs.toUnit(c1)(iInst) < cs.toUnit(mid)(iInst))
     val c2 = agd.step(mid, downInInstances, Array.empty)
@@ -38,8 +36,7 @@ class AgdSpec extends AnyFunSuite {
     val flatRt: Surrogate = new Surrogate {
       def predict(x: Array[Double]): Pred = Pred(100.0, 1.0)
     }
-    val agd = new Agd(cs, beta = 0.0,
-      resourceOf = c => cs.value(c, SparkParams.Instances) * 5.0, eta = 0.01)
+    val agd = new Agd(cs, beta = 0.0, resourceOf = c => cs.value(c, SparkParams.Instances) * 5.0)
     val c1 = agd.step(mid, flatRt, Array.empty)
     assert(cs.value(c1, SparkParams.Instances) < cs.value(mid, SparkParams.Instances))
   }
@@ -52,20 +49,24 @@ class AgdSpec extends AnyFunSuite {
   }
 
   test("AGD steps are clipped to maxStep in unit space") {
+    // η·∂T/∂x = 0.001 · 1e9: far past the 0.05 clip.
     val steep: Surrogate = new Surrogate {
       def predict(x: Array[Double]): Pred = Pred(1e9 * x(iInst), 1.0)
     }
-    val agd = new Agd(cs, beta = 1.0, resourceOf = _ => 1.0, eta = 1.0, maxStep = 0.1)
+    val agd = new Agd(cs, beta = 1.0, resourceOf = _ => 1.0)
     val c1 = agd.step(mid, steep, Array.empty)
     val moved = math.abs(cs.toUnit(c1)(iInst) - cs.toUnit(mid)(iInst))
     // Integer snapping on the raw scale can round the unit coordinate a bit.
-    assert(moved <= 0.1 + 0.02)
+    assert(moved > 0.0 && moved <= 0.05 + 0.02)
   }
 
   test("AGD result stays inside the configuration space") {
-    val agd = new Agd(cs, beta = 0.5, resourceOf = _ => 10.0, eta = 10.0)
-    val c1 = agd.step(mid, upInInstances, Array.empty)
-    assert(cs.clip(c1) == c1)
+    // Steps that point out of the unit cube at its corners are cut at the bounds.
+    val agd = new Agd(cs, beta = 0.5, resourceOf = _ => 10.0)
+    Seq(at(0.0) -> upInInstances, at(1.0) -> downInInstances).foreach { case (c0, rt) =>
+      val c1 = agd.step(c0, rt, Array.empty)
+      assert(cs.clip(c1) == c1)
+    }
   }
 
   test("AGD passes the data-size extra dim through to the surrogate") {

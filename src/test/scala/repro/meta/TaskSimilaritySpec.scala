@@ -28,21 +28,21 @@ class TaskSimilaritySpec extends AnyFunSuite {
 
   test("surrogate distance of a model with itself is 0") {
     val s: Surrogate = x => Pred(x.sum, 1.0)
-    assert(surrogateDistance(cs, s, s, nSample = 50) == 0.0)
+    assert(surrogateDistance(cs, s, s) == 0.0)
   }
 
   test("surrogate distance of opposite models is 1") {
     val a: Surrogate = x => Pred(x.sum, 1.0)
     val b: Surrogate = x => Pred(-x.sum, 1.0)
-    assert(surrogateDistance(cs, a, b, nSample = 50) == 1.0)
+    assert(surrogateDistance(cs, a, b) == 1.0)
   }
 
   test("surrogate distance probes the unit encodings of legal configs, every codec choice") {
     val probes = Vector.newBuilder[Array[Double]]
     val recording: Surrogate = x => { probes += x; Pred(x.sum, 1.0) }
-    surrogateDistance(cs, recording, recording, nSample = 60)
+    surrogateDistance(cs, recording, recording)
     val xs = probes.result()
-    assert(xs.size == 120)
+    assert(xs.size == 2 * 120) // 120 random configs, given to both surrogates
     xs.foreach(x => assert(cs.toUnit(cs.fromUnit(x)) sameElements x, x.mkString(",")))
     assert(xs.map(x => cs.choice(cs.fromUnit(x), SparkParams.IoCodec)).toSet ==
       Set("lz4", "snappy", "zstd"))
@@ -67,7 +67,7 @@ class TaskSimilaritySpec extends AnyFunSuite {
       (mf, s)
     }
     val tasks = Seq(task(0.0), task(0.02), task(0.5), task(0.6))
-    val model = train(cs, tasks, nSample = 60, seed = 1)
+    val model = train(cs, tasks, seed = 1)
     val dClose = model.distance(tasks(0)._1, tasks(1)._1)
     val dFar = model.distance(tasks(0)._1, tasks(3)._1)
     assert(dClose <= dFar + 0.15)

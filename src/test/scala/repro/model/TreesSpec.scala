@@ -62,7 +62,7 @@ class TreesSpec extends AnyFunSuite {
   test("gbdt fits a nonlinear function closely") {
     val xs = Array.tabulate(200)(i => Array(i / 200.0))
     val ys = xs.map(x => math.sin(6 * x(0)))
-    val g = Gbdt.fit(xs, ys, nTrees = 100, maxDepth = 3, lr = 0.2)
+    val g = Gbdt.fit(xs, ys, nTrees = 100, maxDepth = 3)
     val mse = xs.zip(ys).map { case (x, y) => math.pow(g.predict(x) - y, 2) }.sum / xs.length
     assert(mse < 0.01)
   }
@@ -77,7 +77,7 @@ class TreesSpec extends AnyFunSuite {
     val xs = Array.tabulate(100)(i => Array(i / 100.0))
     val ys = xs.map(x => x(0) * x(0))
     def mse(n: Int) = {
-      val g = Gbdt.fit(xs, ys, nTrees = n, maxDepth = 2, lr = 0.1)
+      val g = Gbdt.fit(xs, ys, nTrees = n, maxDepth = 2)
       xs.zip(ys).map { case (x, y) => math.pow(g.predict(x) - y, 2) }.sum
     }
     assert(mse(50) < mse(5))
