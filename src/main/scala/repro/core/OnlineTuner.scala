@@ -5,7 +5,7 @@ import repro.bo.{Acquisition, Agd, SafeRegion, Subspace, SubspacePolicy}
 import repro.env.SparkClusterSim
 import repro.meta.TaskSimilarity
 import repro.space.{Config, ConfigSpace, SparkParams}
-import repro.surrogate.{Gp, MetaEnsemble, MixedKernel, Pred, Surrogate}
+import repro.surrogate.{Gp, MetaEnsemble, Pred, Surrogate}
 
 /** Candidate configurations scored per BO proposal: uniform draws inside
   * the sub-space, local perturbations of it, and global uniform draws over
@@ -59,13 +59,6 @@ final class OnlineTuner(sim: SparkClusterSim,
   private def encode(c: Config, dsGB: Double): Array[Double] =
     OnlineTuner.encode(sim, c, dsGB, settings.useDataSize)
 
-  private def kernelOf(ls: Double) =
-    MixedKernel.forSpace(cs, withDataSize = settings.useDataSize,
-      numLs = 0.5 * ls, catLs = ls, dsLs = 0.5 * ls)
-
-  private def fitGp(xs: Array[Array[Double]], ys: Array[Double]): Gp =
-    Gp.fit(xs, ys, kernelOf, noise = 1e-3)
-
   /** Cross-validation weight of the current-task surrogate in the Eq. 12
     * ensemble [25]: mean held-out rank agreement, floored for cold start. */
   private def currentTaskWeight(xs: Array[Array[Double]], ys: Array[Double]): Double = {
@@ -76,7 +69,7 @@ final class OnlineTuner(sim: SparkClusterSim,
       val train = xs.indices.filterNot(_ % folds == f)
       if (hold.size < 2 || train.size < 2) None
       else {
-        val gp = fitGp(train.map(xs).toArray, train.map(ys).toArray)
+        val gp = Gp.fitMixed(cs, settings.useDataSize, train.map(xs).toArray, train.map(ys).toArray)
         val pred = hold.map(i => gp.predict(xs(i)).mean)
         val act = hold.map(ys)
         Some(TaskSimilarity.kendallTau(pred, act))
@@ -138,9 +131,10 @@ final class OnlineTuner(sim: SparkClusterSim,
     val xs = obs.map(o => encode(o.config, o.result.dataSizeGB)).toArray
     val yObj = obs.map(o => math.log(o.objective.max(1e-9))).toArray
 
-    val gpObjLocal = fitGp(xs, yObj)
+    val gpObjLocal = Gp.fitMixed(cs, settings.useDataSize, xs, yObj)
     // The runtime GP is fitted only when AGD, the safe region or EIC use it.
-    lazy val gpRt = fitGp(xs, obs.map(o => math.log(o.result.runtimeSec.max(1e-9))).toArray)
+    lazy val gpRt = Gp.fitMixed(cs, settings.useDataSize, xs,
+      obs.map(o => math.log(o.result.runtimeSec.max(1e-9))).toArray)
     val objSurrogate: Surrogate =
       if (metaBases.isEmpty) gpObjLocal
       else {

@@ -2,7 +2,7 @@ package repro.meta
 
 import repro.core.{Observation, RunHistory}
 import repro.space.{Config, ConfigSpace}
-import repro.surrogate.{Gp, MixedKernel, Surrogate}
+import repro.surrogate.{Gp, Surrogate}
 import repro.meta.TaskSimilarity.DistanceModel
 
 /** A finished source task in the knowledge repository: meta-features, its
@@ -18,9 +18,7 @@ object SourceTask {
                   history: Vector[Observation]): SourceTask = {
     val xs = history.map(o => cs.toUnit(o.config)).toArray
     val ys = history.map(o => math.log(o.objective.max(1e-9))).toArray
-    val gp = Gp.fit(xs, ys, ls => MixedKernel.forSpace(cs, withDataSize = false,
-      numLs = 0.5 * ls, catLs = ls, dsLs = 0.5 * ls))
-    SourceTask(name, metaFeatures, history, gp)
+    SourceTask(name, metaFeatures, history, Gp.fitMixed(cs, withDataSize = false, xs, ys))
   }
 }
 

@@ -1,6 +1,7 @@
 package repro.surrogate
 
 import repro.linalg.Lin
+import repro.space.ConfigSpace
 
 /** Posterior prediction of a surrogate at one point. */
 final case class Pred(mean: Double, variance: Double) {
@@ -45,16 +46,27 @@ final class Gp private (kernel: Kernel,
 }
 
 object Gp {
+  /** Candidate lengthscale multipliers ℓ. */
+  private val LsGrid = Seq(0.5, 1.0, 2.0)
+
+  /** The tuner's surrogate, fitted on unit-encoded configs `xs` (with a
+    * trailing data-size dim if `withDataSize`): the mixed kernel of Eq. 4
+    * with lengthscales 0.5·ℓ (numeric), ℓ (categorical) and 0.5·ℓ (data
+    * size), and noise level 1e-3. Every GP of the tuner and of the
+    * knowledge base is fitted here. */
+  def fitMixed(cs: ConfigSpace, withDataSize: Boolean,
+               xs: Array[Array[Double]], ys: Array[Double]): Gp =
+    fit(xs, ys, ls => MixedKernel.forSpace(cs, withDataSize,
+      numLs = 0.5 * ls, catLs = ls, dsLs = 0.5 * ls), noise = 1e-3)
+
   /** Fit a GP on raw (unit-encoded) inputs and targets.
     *
-    * @param kernelOf builds a kernel given a lengthscale multiplier; the
-    *                 multiplier is selected from `lsGrid` by marginal
+    * @param kernelOf builds a kernel given a lengthscale multiplier ℓ; ℓ
+    *                 is selected from {0.5, 1, 2} by marginal
     *                 log-likelihood.
     */
   def fit(xs: Array[Array[Double]], ys: Array[Double],
-          kernelOf: Double => Kernel,
-          noise: Double = 1e-4,
-          lsGrid: Seq[Double] = Seq(0.5, 1.0, 2.0)): Gp = {
+          kernelOf: Double => Kernel, noise: Double): Gp = {
     require(xs.nonEmpty && xs.length == ys.length, "empty or mismatched training data")
     val n = xs.length
     val yMean = ys.sum / n
@@ -66,7 +78,7 @@ object Gp {
 
     var best: Gp = null
     var bestMll = Double.NegativeInfinity
-    for (ls <- lsGrid) {
+    for (ls <- LsGrid) {
       val k = kernelOf(ls)
       val gram = Array.tabulate(n, n)((i, j) => k(xs(i), xs(j)) + (if (i == j) noise else 0.0))
       val (l, _) = Lin.cholesky(gram)

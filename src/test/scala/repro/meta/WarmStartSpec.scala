@@ -1,10 +1,11 @@
 package repro.meta
 
+import scala.util.Random
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.Observation
 import repro.env.{FleetGen, RunResult}
 import repro.space.{SparkParams => SP}
-import repro.surrogate.{Pred, Surrogate}
+import repro.surrogate.{Gp, Pred, Surrogate}
 
 class WarmStartSpec extends AnyFunSuite {
   private val cs = FleetGen.hibenchSpace
@@ -70,5 +71,19 @@ class WarmStartSpec extends AnyFunSuite {
     val st = SourceTask.fromHistory(cs, "t", Array.fill(MetaFeatures.Dim)(0.5), hist)
     val p = st.surrogate.predict(cs.toUnit(hist.head.config))
     assert(math.abs(p.mean - math.log(10.0)) < 1.0)
+  }
+
+  test("SourceTask.fromHistory fits the tuner's GP recipe") {
+    // The knowledge base's surrogates are the tuner's GP (Gp.fitMixed) on
+    // log-objective, so Eq. 12 mixes copies of one model.
+    val hist = Vector(obs(4, 10.0), obs(12, 20.0), obs(30, 40.0), obs(60, 15.0))
+    val st = SourceTask.fromHistory(cs, "t", Array.fill(MetaFeatures.Dim)(0.5), hist)
+    val gp = Gp.fitMixed(cs, withDataSize = false, hist.map(o => cs.toUnit(o.config)).toArray,
+      hist.map(o => math.log(o.objective)).toArray)
+    val rng = new Random(3)
+    (hist.map(_.config) ++ Vector.fill(20)(cs.sampleRandom(rng))).foreach { c =>
+      val x = cs.toUnit(c)
+      assert(st.surrogate.predict(x) == gp.predict(x))
+    }
   }
 }

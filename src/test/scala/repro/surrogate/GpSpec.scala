@@ -47,9 +47,9 @@ class GpSpec extends AnyFunSuite {
   }
 
   test("fit rejects empty and mismatched data") {
-    assertThrows[IllegalArgumentException](Gp.fit(Array.empty, Array.empty, kOf))
+    assertThrows[IllegalArgumentException](Gp.fit(Array.empty, Array.empty, kOf, 1e-6))
     assertThrows[IllegalArgumentException](
-      Gp.fit(Array(Array(0.0)), Array(1.0, 2.0), kOf))
+      Gp.fit(Array(Array(0.0)), Array(1.0, 2.0), kOf, 1e-6))
   }
 
   test("predictions are finite under noisy targets") {
@@ -65,11 +65,10 @@ class GpSpec extends AnyFunSuite {
 
   test("degenerate histories give finite predictions: n = 1, constant targets on duplicates") {
     val cs = SparkParams.space()
-    def kernel(ls: Double): Kernel = MixedKernel.forSpace(cs, withDataSize = false, numLs = 0.5 * ls, catLs = ls, dsLs = 0.5 * ls)
     val x = cs.toUnit(SparkParams.defaults(cs))
     val probes = Seq(x, cs.toUnit(cs.sampleRandom(new Random(1))))
     Seq(Array(x) -> Array(0.0), Array.fill(5)(x) -> Array.fill(5)(3.0)).foreach { case (xs, ys) =>
-      val gp = Gp.fit(xs, ys, kernel, noise = 1e-3)
+      val gp = Gp.fitMixed(cs, withDataSize = false, xs, ys)
       probes.foreach { p =>
         val pred = gp.predict(p)
         assert(pred.mean.isFinite && pred.variance.isFinite && pred.variance >= 0, s"n = ${xs.length}")
