@@ -199,7 +199,8 @@ final class SparkClusterSim(val spec: WorkloadSpec, val cs: ConfigSpace) extends
     runAt(c, ds, iter)
   }
 
-  /** Execute at an explicit data size (used by tests and warm-start evals). */
+  /** Execute at an explicit data size (`run` at the drifted size; tests
+    * call it directly). */
   def runAt(c: Config, ds: Double, iter: Int): RunResult = {
     val rng = new Random(spec.seed * 1000003 + iter * 131 + c.values.hashCode())
     val noise = math.exp(NoiseSigma * rng.nextGaussian())

@@ -11,6 +11,12 @@ import repro.meta.MetaFeatures
   * The paper parses the SparkEventLog file; locally we attach a
   * SparkListener for the duration of the workload — the listener receives
   * exactly the events the log would contain.
+  *
+  * The vector has the length and 11/64 split of `MetaFeatures.fromSpec`,
+  * not its slot meanings: slot 1 is the largest stage's task count/512
+  * (iterations/16 there), and the task-level slots are metric-major (the
+  * 8 statistics of each task metric in turn) where `fromSpec` is
+  * expansion-major. Vectors of the two are never compared.
   */
 final class MetricsListener extends SparkListener {
   final case class TaskRow(durationMs: Double, cpuRatio: Double, gcRatio: Double,
@@ -56,7 +62,8 @@ final class MetricsListener extends SparkListener {
     }
   }
 
-  /** The 75-dim meta-feature vector (layout documented in MetaFeatures). */
+  /** The 75-dim meta-feature vector: 11 stage-level slots, then 8
+    * statistics of each of 8 task metrics. */
   def vector: Array[Double] = synchronized {
     val out = new Array[Double](MetaFeatures.Dim)
     val n = math.max(1, tasks.size)
