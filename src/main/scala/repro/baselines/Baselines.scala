@@ -33,8 +33,7 @@ private object BaselineUtil {
   private val PopSize = 40
 
   /** Simple generational GA over unit space searching `fitness` (lower is
-    * better) — the search engine of RFHOC [7] and DAC [79]: `Generations`
-    * rounds over a population of `PopSize`, keeping the best quarter. */
+    * better) — the search engine of RFHOC [7] and DAC [79]. */
   def gaSearch(cs: ConfigSpace, seedPop: Vector[Config], fitness: Config => Double,
                rng: Random): Config = {
     var pop = (seedPop ++ cs.sampleRandom(rng, PopSize)).take(PopSize)

@@ -39,7 +39,7 @@ final class SparkClusterSim(val spec: WorkloadSpec, val cs: ConfigSpace) extends
   /** Memory price coefficient in R(x) = E·(C + cMem·M) (§4.3). */
   val cMem: Double = 0.25
 
-  import SparkClusterSim.{Memory, NoiseSigma}
+  import SparkClusterSim.Memory
 
   /** Memory model of `c` at data size `ds` (see [[SparkClusterSim.Memory]]). */
   private def memory(c: Config, ds: Double): Memory = {
@@ -203,7 +203,7 @@ final class SparkClusterSim(val spec: WorkloadSpec, val cs: ConfigSpace) extends
     * call it directly). */
   def runAt(c: Config, ds: Double, iter: Int): RunResult = {
     val rng = new Random(spec.seed * 1000003 + iter * 131 + c.values.hashCode())
-    val noise = math.exp(NoiseSigma * rng.nextGaussian())
+    val noise = math.exp(0.04 * rng.nextGaussian()) // log-normal, σ = 0.04
     val t = expectedRuntime(c, ds) * noise
     val e = cs.value(c, SP.Instances)
     val cc = cs.value(c, SP.ExecCores)
@@ -219,9 +219,6 @@ final class SparkClusterSim(val spec: WorkloadSpec, val cs: ConfigSpace) extends
 }
 
 object SparkClusterSim {
-  /** σ of the multiplicative log-normal runtime noise. */
-  private val NoiseSigma = 0.04
-
   /** Usable executor memory after the JVM/overhead reserve, its storage
     * share, and the pressure of a shuffle task's working set on its
     * execution memory (OOM above 6×). */

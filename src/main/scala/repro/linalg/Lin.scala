@@ -9,9 +9,9 @@ object Lin {
   private val MaxTries = 8
 
   /** Cholesky factor L (lower-triangular) of SPD matrix `a`, with jitter
-    * escalation: a diagonal jitter of 1e-10 is added, and if the
-    * factorization fails it is multiplied by 10 and retried, up to
-    * `MaxTries` times. Returns (L, usedJitter).
+    * escalation: if the factorization fails, the diagonal jitter (first
+    * 1e-10) is multiplied by 10 and retried up to `MaxTries` times.
+    * Returns (L, usedJitter).
     */
   def cholesky(a: Array[Array[Double]]): (Array[Array[Double]], Double) = {
     val n = a.length

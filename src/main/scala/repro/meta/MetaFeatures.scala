@@ -15,13 +15,11 @@ import repro.env.WorkloadSpec
   *    workloads, so the similarity pipeline runs on the full benchmark
   *    set without a cluster.
   *
-  * The two share only the length and the 11 stage-level / 64 task-level
-  * split; slot meanings differ. Slot 1 is iterations/16 here and the
-  * largest stage's task count/512 in the listener, and the task-level
-  * slots are expansion-major here (slot 11 + i holds expansion i / 8 of
-  * intensity i % 8) but metric-major in the listener (8 statistics of one
-  * task metric, then the next). Nothing mixes the two: the knowledge base
-  * and the task distances read `fromSpec` vectors only.
+  * The two share only the length and the 11/64 split. Slot 1 is
+  * iterations/16 here but max stage tasks/512 there, and the task slots are
+  * expansion-major here (slot 11 + i: expansion i / 8 of intensity i % 8)
+  * but metric-major there. Nothing mixes them: the knowledge base and task
+  * distances read `fromSpec` only.
   */
 object MetaFeatures {
 

@@ -61,8 +61,8 @@ object Gp {
 
   /** Fit a GP on raw (unit-encoded) inputs and targets.
     *
-    * @param kernelOf builds a kernel given a lengthscale multiplier ℓ; ℓ
-    *                 is selected from {0.5, 1, 2} by marginal
+    * @param kernelOf builds a kernel given a lengthscale multiplier; the
+    *                 multiplier is selected from `LsGrid` by marginal
     *                 log-likelihood.
     */
   def fit(xs: Array[Array[Double]], ys: Array[Double],

@@ -22,38 +22,25 @@ final class MixedKernel private (numDims: Array[Int], catDims: Array[Int], dsDim
   require(numLs > 0 && catLs > 0 && dsLs > 0)
 
   def apply(x: Array[Double], y: Array[Double]): Double = {
-    val k = matern(x, y) * hamming(x, y)
-    dsDim match {
-      case Some(i) =>
-        val d = (x(i) - y(i)) / dsLs
-        k * math.exp(-0.5 * (d * d))
-      case None => k
-    }
-  }
-
-  private def matern(x: Array[Double], y: Array[Double]): Double = {
-    if (numDims.isEmpty) return 1.0
-    var s = 0.0
+    var s = 0.0 // squared scaled distance over the numeric dims
     var i = 0
     while (i < numDims.length) {
       val d = (x(numDims(i)) - y(numDims(i))) / numLs
       s += d * d
       i += 1
     }
-    val r = math.sqrt(s)
-    val a = math.sqrt(5.0) * r
-    (1.0 + a + (5.0 / 3.0) * s) * math.exp(-a)
-  }
-
-  private def hamming(x: Array[Double], y: Array[Double]): Double = {
-    if (catDims.isEmpty) return 1.0
     var mis = 0
-    var i = 0
+    i = 0
     while (i < catDims.length) {
       if (x(catDims(i)) != y(catDims(i))) mis += 1
       i += 1
     }
-    math.exp(-mis / catLs)
+    val a = math.sqrt(5.0) * math.sqrt(s)
+    val k = (1.0 + a + (5.0 / 3.0) * s) * math.exp(-a) * math.exp(-mis / catLs)
+    dsDim match {
+      case Some(j) => val d = (x(j) - y(j)) / dsLs; k * math.exp(-0.5 * (d * d))
+      case None    => k
+    }
   }
 }
 

@@ -12,11 +12,9 @@ import repro.meta.MetaFeatures
   * SparkListener for the duration of the workload — the listener receives
   * exactly the events the log would contain.
   *
-  * The vector has the length and 11/64 split of `MetaFeatures.fromSpec`,
-  * not its slot meanings: slot 1 is the largest stage's task count/512
-  * (iterations/16 there), and the task-level slots are metric-major (the
-  * 8 statistics of each task metric in turn) where `fromSpec` is
-  * expansion-major. Vectors of the two are never compared.
+  * Only the length and 11/64 split match `MetaFeatures.fromSpec`: slot 1
+  * is max stage tasks/512 (iterations/16 there) and the task slots are
+  * metric-major (expansion-major there). The two are never mixed.
   */
 final class MetricsListener extends SparkListener {
   final case class TaskRow(durationMs: Double, cpuRatio: Double, gcRatio: Double,
@@ -62,8 +60,7 @@ final class MetricsListener extends SparkListener {
     }
   }
 
-  /** The 75-dim meta-feature vector: 11 stage-level slots, then 8
-    * statistics of each of 8 task metrics. */
+  /** The 75-dim meta-feature vector: 11 stage slots, then 8 task metrics × 8 statistics. */
   def vector: Array[Double] = synchronized {
     val out = new Array[Double](MetaFeatures.Dim)
     val n = math.max(1, tasks.size)
