@@ -15,6 +15,7 @@ class KernelsSpec extends AnyFunSuite {
     CatParam("p", Vector("x", "y", "z")), CatParam("q", Vector("x", "y", "z"))))
   private val mixed = new ConfigSpace(Vector(
     DoubleParam("a", 0.0, 1.0), CatParam("p", Vector("x", "y", "z"))))
+  private val spark = SparkParams.space()
 
   private def kernel(cs: ConfigSpace, withDataSize: Boolean = false,
                      numLs: Double = 1.0, catLs: Double = 1.0, dsLs: Double = 1.0) =
@@ -74,25 +75,22 @@ class KernelsSpec extends AnyFunSuite {
   }
 
   test("forSpace builds a kernel with k(x,x)=1") {
-    val cs = SparkParams.space()
-    val x = cs.toUnit(SparkParams.defaults(cs))
-    assert(close(kernel(cs, numLs = 0.5)(x, x), 1.0))
-    assert(close(kernel(cs, withDataSize = true, numLs = 0.5, dsLs = 0.5)(x :+ 0.2, x :+ 0.2), 1.0))
+    val x = spark.toUnit(SparkParams.defaults(spark))
+    assert(close(kernel(spark, numLs = 0.5)(x, x), 1.0))
+    assert(close(kernel(spark, withDataSize = true, numLs = 0.5, dsLs = 0.5)(x :+ 0.2, x :+ 0.2), 1.0))
   }
 
   test("forSpace with data size reacts to the trailing dim") {
-    val cs = SparkParams.space()
-    val k = kernel(cs, withDataSize = true, numLs = 0.5, dsLs = 0.5)
-    val x = cs.toUnit(SparkParams.defaults(cs)) :+ 0.2
-    val y = cs.toUnit(SparkParams.defaults(cs)) :+ 0.9
+    val k = kernel(spark, withDataSize = true, numLs = 0.5, dsLs = 0.5)
+    val x = spark.toUnit(SparkParams.defaults(spark)) :+ 0.2
+    val y = spark.toUnit(SparkParams.defaults(spark)) :+ 0.9
     assert(k(x, y) < k(x, x))
   }
 
   test("categorical change lowers the mixed kernel via Hamming") {
-    val cs = SparkParams.space()
-    val k = kernel(cs, numLs = 0.5)
-    val c0 = SparkParams.defaults(cs)
-    val c1 = cs.withValue(c0, SparkParams.IoCodec, 2.0)
-    assert(k(cs.toUnit(c0), cs.toUnit(c1)) < 1.0)
+    val k = kernel(spark, numLs = 0.5)
+    val c0 = SparkParams.defaults(spark)
+    val c1 = spark.withValue(c0, SparkParams.IoCodec, 2.0)
+    assert(k(spark.toUnit(c0), spark.toUnit(c1)) < 1.0)
   }
 }
